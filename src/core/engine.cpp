@@ -328,7 +328,11 @@ ProcessReport AnalysisEngine::process_report(vfs::ProcessId pid) const {
     report.threshold = config_.score_threshold;
     return report;
   }
-  const ProcessState& s = it->second;
+  return make_report(pid, key, it->second);
+}
+
+ProcessReport AnalysisEngine::make_report(vfs::ProcessId pid, vfs::ProcessId key,
+                                          const ProcessState& s) const {
   ProcessReport report;
   report.pid = pid;
   report.name = s.name;
@@ -426,31 +430,7 @@ EngineSnapshot AnalysisEngine::snapshot() const {
   snap.observed_ops = op_seq_.load(std::memory_order_relaxed);
   for (const ScoreboardShard& shard : scoreboard_shards_) {
     for (const auto& [key, s] : shard.states) {
-      ProcessReport report;
-      report.pid = key;
-      report.name = s.name;
-      report.score = s.score;
-      report.threshold = s.threshold;
-      report.suspended = s.suspended;
-      report.union_triggered = s.union_triggered;
-      report.union_count = s.union_count;
-      report.entropy_events = s.entropy_events;
-      report.type_change_events = s.type_change_events;
-      report.similarity_drop_events = s.similarity_drop_events;
-      report.deletion_events = s.deletion_events;
-      report.funneling_events = s.funneling_events;
-      report.rate_events = s.rate_events;
-      if (!s.read_means.empty()) {
-        report.read_entropy_mean = s.read_means[0].mean();
-      }
-      if (!s.write_means.empty()) {
-        report.write_entropy_mean = s.write_means[0].mean();
-      }
-      report.read_extensions = s.read_extensions;
-      report.write_extensions = s.write_extensions;
-      report.timeline = s.timeline;
-      report.forensic = make_forensic(key, s);
-      snap.processes.push_back(std::move(report));
+      snap.processes.push_back(make_report(key, key, s));
     }
   }
   for (std::size_t i = kScoreboardShards; i > 0; --i) locks[i - 1].unlock();
@@ -638,21 +618,14 @@ bool AnalysisEngine::mark_pending_check(vfs::FileId id) {
   return true;
 }
 
-std::optional<simhash::SimilarityDigest> AnalysisEngine::baseline_digest_for(
-    ByteView data) const {
-  // Both baseline and post-modification digests flow through here.
-  // Corpus baselines recur across trials (the zoo reuses one corpus for
-  // hundreds of runs) and modified content recurs within runs (autosave
-  // rotations, identically keyed re-encryption); the shared cache
-  // computes each distinct content's digest once, process-wide.
+std::optional<simhash::SimilarityDigest> AnalysisEngine::sdhash_digest(
+    const std::shared_ptr<const Bytes>& content, bool via_cache) const {
   obs::ScopedSpan span(obs::span_name::kSdhashDigest);
-  if (span.active()) span.arg("bytes", static_cast<double>(data.size()));
+  if (span.active()) span.arg("bytes", static_cast<double>(content->size()));
   obs::ScopedTimer timer(h_sdhash_);
   m_digests_->add();
-  if (config_.share_digest_cache) {
-    return simhash::DigestCache::global().get_or_compute(data);
-  }
-  return simhash::SimilarityDigest::compute(data);
+  if (via_cache) return simhash::DigestCache::global().get_or_compute(content);
+  return simhash::SimilarityDigest::compute(ByteView(*content));
 }
 
 void AnalysisEngine::evaluate_modification(
@@ -687,19 +660,20 @@ void AnalysisEngine::evaluate_modification(
 
   if (config_.enable_similarity) {
     if (!file.digest_attempted) {
-      file.baseline_digest = baseline_digest_for(ByteView(*file.baseline));
+      // Baselines go through the shared cache: corpus content is shared
+      // by copy-on-write clones, so the zoo's hundreds of trials over
+      // one corpus look up the same content objects.
+      file.baseline_digest = sdhash_digest(file.baseline, config_.share_digest_cache);
       file.digest_attempted = true;
       // Undigestible baseline (sub-512-byte files yield no sdhash):
       // similarity is silent for this file until the baseline changes.
       if (!file.baseline_digest.has_value()) m_degraded_->add();
     }
     if (file.baseline_digest.has_value()) {
-      // Through the shared cache like the baseline digest: repeated
-      // content (autosave rotations, re-encryption of one corpus across
-      // trials) then costs one SHA-256 key instead of a full rolling
-      // feature scan. The cache is content-addressed, so a hit can
-      // never be stale (tests/chaos_test.cpp pins truncate-then-rewrite).
-      new_digest = baseline_digest_for(ByteView(*content));
+      // Computed directly: freshly written content is a new object, so
+      // it can never hit the cache's identity key, and the digest is
+      // kept below as the file's next baseline digest anyway.
+      new_digest = sdhash_digest(content, /*via_cache=*/false);
       new_digest_computed = true;
       // Both versions must be digestible; sdhash yields no score for
       // sub-512-byte files, leaving this indicator silent (§V-C).
@@ -1173,11 +1147,8 @@ void AnalysisEngine::handle_rename_post(const vfs::OperationEvent& event) {
     // read-side counterpart of the inbound fold above (a Class B sample
     // "reads" the user's data by carrying it out). Baseline was captured
     // in the pre callback; evaluation happens on return.
-    if (config_.entropy.enabled) {
-      const auto departing = fs_->read_unfiltered(event.dest_path);
-      if (departing != nullptr && !departing->empty()) {
-        fold_read_entropy(proc, ByteView(*departing));
-      }
+    if (config_.entropy.enabled && content != nullptr && !content->empty()) {
+      fold_read_entropy(proc, ByteView(*content));
     }
     locked.lock.unlock();
     (void)mark_pending_check(event.file_id);

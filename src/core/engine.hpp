@@ -380,9 +380,10 @@ class AnalysisEngine : public vfs::Filter {
   void evaluate_modification(ProcessState& proc, vfs::ProcessId pid, vfs::FileId id,
                              const std::string& path,
                              const std::shared_ptr<const Bytes>& content);
-  /// Computes (or fetches from the shared digest cache) `data`'s digest.
-  [[nodiscard]] std::optional<simhash::SimilarityDigest> baseline_digest_for(
-      ByteView data) const;
+  /// Digests `content` (non-null) under the sdhash span, histogram and
+  /// counter, through the shared digest cache when `via_cache` is set.
+  [[nodiscard]] std::optional<simhash::SimilarityDigest> sdhash_digest(
+      const std::shared_ptr<const Bytes>& content, bool via_cache) const;
   /// Drops file `id` from the baseline table.
   void forget_file(vfs::FileId id);
   /// Marks `id` for comparison at close/rename time. Returns false when
@@ -399,6 +400,10 @@ class AnalysisEngine : public vfs::Filter {
   /// timeline. Call with `key`'s shard lock held.
   [[nodiscard]] obs::ForensicTimeline make_forensic(vfs::ProcessId key,
                                                     const ProcessState& proc) const;
+  /// Builds the report of scoreboard entry `key`, reported under `pid`.
+  /// Call with `key`'s shard lock held.
+  [[nodiscard]] ProcessReport make_report(vfs::ProcessId pid, vfs::ProcessId key,
+                                          const ProcessState& proc) const;
   /// magic::identify wrapped in the magic_sniff stage timer.
   [[nodiscard]] magic::TypeId sniff_type(ByteView data) const;
 

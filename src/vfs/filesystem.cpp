@@ -291,8 +291,10 @@ Status FileSystem::write(ProcessId pid, Handle h, ByteView data) {
     const std::uint64_t end = oh.pos + put.size();
     // Copy-on-write with an exclusive-ownership fast path: when this
     // node is the only holder of the buffer (no snapshot clones, no
-    // engine baselines referencing it), mutate in place — this is what
-    // keeps streamed multi-gigabyte appends O(n) instead of O(n^2).
+    // engine baselines, no digest-cache pin referencing it), mutate in
+    // place — this is what keeps streamed multi-gigabyte appends O(n)
+    // instead of O(n^2). The digest cache keys by buffer identity and
+    // relies on its pin forcing the copy: a pinned buffer never changes.
     // Buffers are always *created* as mutable Bytes, so the const_cast
     // below never touches a genuinely const object.
     if (node->data.use_count() == 1) {

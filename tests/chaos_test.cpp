@@ -177,7 +177,7 @@ TEST_F(ChaosTest, BenignSuiteIsBitIdenticalAcrossJobCounts) {
 TEST_F(ChaosTest, DigestCacheNeverStaleAfterTruncateThenRewrite) {
   // Regression guard for the close-path digest-retention optimisation:
   // the engine now keeps the freshly measured digest as the next
-  // baseline, and the shared DigestCache is keyed by content SHA-256 —
+  // baseline, and the shared DigestCache is keyed by content object —
   // neither may ever hand back the *old* content's digest after a
   // truncate-then-rewrite, or the similarity indicator would compare
   // ransomware output against itself and stay silent.
@@ -194,8 +194,8 @@ TEST_F(ChaosTest, DigestCacheNeverStaleAfterTruncateThenRewrite) {
 
   for (int round = 0; round < 2; ++round) {
     // Two rounds over the same content through one process-wide cache:
-    // round 2 replays round 1's exact bytes, so every digest lookup is
-    // a cache hit — the stalest path possible.
+    // round 2 replays round 1's exact bytes (each round in fresh
+    // buffers, which the identity-keyed cache must treat as new).
     vfs::FileSystem fs;
     core::AnalysisEngine engine(config);
     fs.attach_filter(&engine);
@@ -224,19 +224,72 @@ TEST_F(ChaosTest, DigestCacheNeverStaleAfterTruncateThenRewrite) {
         << "round " << round;
   }
 
-  // Cache-level check of the same hazard, content-addressed directly.
+  // Cache-level check of the same hazard, keyed by content object.
   simhash::DigestCache cache(64);
-  const auto before = cache.get_or_compute(ByteView(prose));
-  const auto after = cache.get_or_compute(ByteView(noise));
+  const auto prose_object = std::make_shared<const Bytes>(prose);
+  const auto before = cache.get_or_compute(prose_object);
+  const auto after = cache.get_or_compute(std::make_shared<const Bytes>(noise));
   ASSERT_TRUE(before.has_value());
   ASSERT_TRUE(after.has_value());
   EXPECT_FALSE(*before == *after);
   const auto fresh = simhash::SimilarityDigest::compute(ByteView(noise));
   ASSERT_TRUE(fresh.has_value());
   EXPECT_TRUE(*after == *fresh);
-  const auto replay = cache.get_or_compute(ByteView(prose));
+  const auto replay = cache.get_or_compute(prose_object);
   ASSERT_TRUE(replay.has_value());
   EXPECT_TRUE(*replay == *before);
+}
+
+TEST_F(ChaosTest, DigestCachePinSurvivesWriteAfterEngineIsGone) {
+  // The shared cache keys digests by buffer identity, which is only
+  // sound if a pinned buffer's bytes never change. The pin must outlive
+  // the engine that digested the buffer and force FileSystem::write's
+  // copy-on-write path even when the file node is otherwise the
+  // buffer's only owner.
+  core::ScoringConfig config;
+  config.protected_root = "users/victim/documents";
+  config.score_threshold = 1000000;  // indicators only; no suspension
+  config.union_threshold = 1000000;
+  config.share_digest_cache = true;
+
+  Rng rng(778);
+  const Bytes prose = to_bytes(synth_prose(rng, 30000));
+  const Bytes noise = rng.bytes(30000);
+  const std::string path = "users/victim/documents/draft.txt";
+
+  vfs::FileSystem base;
+  ASSERT_TRUE(base.put_file_raw(path, prose).is_ok());
+  const Bytes* pinned = base.read_unfiltered(path).get();
+  {
+    // A trial on a copy-on-write clone: its engine digests the shared
+    // buffer as the baseline of the file being rewritten.
+    vfs::FileSystem trial = base.clone();
+    core::AnalysisEngine engine(config);
+    trial.attach_filter(&engine);
+    const vfs::ProcessId pid = trial.register_process("subject");
+    auto h = trial.open(pid, path, vfs::kWrite | vfs::kTruncate);
+    ASSERT_TRUE(h.is_ok());
+    ASSERT_TRUE(trial.write(pid, h.value(), ByteView(noise)).is_ok());
+    ASSERT_TRUE(trial.close(pid, h.value()).is_ok());
+    ASSERT_EQ(engine.process_report(pid).similarity_drop_events, 1u);
+  }  // engine and clone are gone: `base` and the cache's pin remain
+
+  const vfs::ProcessId pid = base.register_process("editor");
+  auto h = base.open(pid, path, vfs::kWrite);
+  ASSERT_TRUE(h.is_ok());
+  ASSERT_TRUE(base.write(pid, h.value(), ByteView(noise)).is_ok());
+  ASSERT_TRUE(base.close(pid, h.value()).is_ok());
+
+  const std::shared_ptr<const Bytes> written = base.read_unfiltered(path);
+  ASSERT_NE(written, nullptr);
+  EXPECT_NE(written.get(), pinned) << "write mutated a pinned buffer in place";
+  // Checked before the next insert, which may reclaim the now-orphaned pin.
+  EXPECT_EQ(*pinned, prose);
+  const auto looked_up = simhash::DigestCache::global().get_or_compute(written);
+  const auto fresh = simhash::SimilarityDigest::compute(ByteView(*written));
+  ASSERT_TRUE(looked_up.has_value());
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_TRUE(*looked_up == *fresh);
 }
 
 TEST_F(ChaosTest, InvalidPlanIsRejectedBeforeAnyTrialRuns) {

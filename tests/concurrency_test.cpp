@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/text.hpp"
@@ -221,8 +223,8 @@ TEST(EngineConcurrency, SnapshotsAreInternallyConsistentUnderLoad) {
 TEST(EngineConcurrency, DigestCacheIsSharedSafelyAcrossThreads) {
   simhash::DigestCache cache(/*capacity=*/64);
   Rng rng(7);
-  const Bytes big = to_bytes(synth_prose(rng, 4096));
-  const Bytes small = to_bytes("too small for sdhash");
+  const auto big = std::make_shared<const Bytes>(to_bytes(synth_prose(rng, 4096)));
+  const auto small = std::make_shared<const Bytes>(to_bytes("too small for sdhash"));
 
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kLookups = 50;
@@ -230,13 +232,13 @@ TEST(EngineConcurrency, DigestCacheIsSharedSafelyAcrossThreads) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&] {
       for (std::size_t i = 0; i < kLookups; ++i) {
-        const auto digest = cache.get_or_compute(ByteView(big));
+        const auto digest = cache.get_or_compute(big);
         ASSERT_TRUE(digest.has_value());
         // Cached digest must be the digest of *this* content.
-        const auto direct = simhash::SimilarityDigest::compute(ByteView(big));
+        const auto direct = simhash::SimilarityDigest::compute(ByteView(*big));
         EXPECT_EQ(digest->compare(*direct), 100);
         // Negative results (undigestable content) are cached too.
-        EXPECT_FALSE(cache.get_or_compute(ByteView(small)).has_value());
+        EXPECT_FALSE(cache.get_or_compute(small).has_value());
       }
     });
   }
@@ -254,13 +256,62 @@ TEST(EngineConcurrency, DigestCacheIsSharedSafelyAcrossThreads) {
 TEST(EngineConcurrency, DigestCacheEvictsAtCapacity) {
   simhash::DigestCache cache(/*capacity=*/16);  // 1 entry per shard
   Rng rng(11);
+  // Kept alive: only live entries are evicted by the LRU bound.
+  std::vector<std::shared_ptr<const Bytes>> contents;
   for (int i = 0; i < 64; ++i) {
-    (void)cache.get_or_compute(ByteView(rng.bytes(1024)));
+    contents.push_back(std::make_shared<const Bytes>(rng.bytes(1024)));
+    (void)cache.get_or_compute(contents.back());
   }
   const simhash::DigestCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 64u);
   EXPECT_LE(stats.entries, 16u);
   EXPECT_EQ(stats.evictions, 64u - stats.entries);
+}
+
+TEST(EngineConcurrency, DigestCacheReclaimsOrphansBeforeLiveEntries) {
+  simhash::DigestCache cache(/*capacity=*/32);  // 2 entries per shard
+  Rng rng(13);
+  const auto live = std::make_shared<const Bytes>(to_bytes(synth_prose(rng, 4096)));
+  const auto live_digest = cache.get_or_compute(live);
+  ASSERT_TRUE(live_digest.has_value());
+
+  // Content dropped after its lookup leaves an entry whose pin is the
+  // object's last owner. It stays until the next insert into its shard.
+  auto dropped = std::make_shared<const Bytes>(rng.bytes(1024));
+  (void)cache.get_or_compute(dropped);
+  dropped.reset();
+  EXPECT_EQ(cache.stats().entries, 2u);
+
+  for (int i = 0; i < 64; ++i) {
+    (void)cache.get_or_compute(std::make_shared<const Bytes>(rng.bytes(1024)));
+  }
+  const simhash::DigestCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 66u);
+  // Each insert reclaimed its shard's orphans first, so the live entry
+  // always had room: nothing was LRU-evicted, and at most the latest
+  // orphan per shard remains next to the live entry.
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_LE(stats.entries, 1u + 16u);
+  const auto again = cache.get_or_compute(live);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(*again == *live_digest);
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  // Without capacity pressure the same sweep makes the entry count drop
+  // once the content objects are gone.
+  simhash::DigestCache roomy;
+  std::vector<std::shared_ptr<const Bytes>> batch;
+  for (int i = 0; i < 48; ++i) {
+    batch.push_back(std::make_shared<const Bytes>(rng.bytes(64)));
+    (void)roomy.get_or_compute(batch.back());
+  }
+  EXPECT_EQ(roomy.stats().entries, 48u);
+  batch.clear();
+  for (int i = 0; i < 64; ++i) {
+    (void)roomy.get_or_compute(std::make_shared<const Bytes>(rng.bytes(64)));
+  }
+  EXPECT_LT(roomy.stats().entries, 48u);
+  EXPECT_EQ(roomy.stats().evictions, 0u);
 }
 
 }  // namespace

@@ -393,10 +393,12 @@ TEST(ObsDeterminism, CampaignMetricsIdenticalAtAnyJobCount) {
     EXPECT_EQ(h.count, other->count) << h.name;
   }
   // Gauges describing per-trial state are deterministic; the shared
-  // digest-cache gauges are process-wide and grow across runs, so they
+  // digest-cache and buffer-pool gauges are process-wide counters since
+  // process start (docs/OBSERVABILITY.md), so they grow across runs and
   // are exempt from the contract.
   for (const obs::GaugeSnapshot& g : m1.gauges) {
     if (g.name.rfind("digest_cache_", 0) == 0) continue;
+    if (g.name.rfind("buffer_pool_", 0) == 0) continue;
     const obs::GaugeSnapshot* other = m8.gauge(g.name);
     ASSERT_NE(other, nullptr) << g.name;
     EXPECT_EQ(g.value, other->value) << g.name;
