@@ -1,15 +1,19 @@
-// Minimal JSON value builder/serializer (no parsing) for machine-readable
-// experiment reports. Deliberately tiny: objects preserve insertion
+// Minimal JSON value: builder, serializer and the repo's one reader
+// (parse(), in json.cpp). Deliberately tiny: objects preserve insertion
 // order, numbers print with enough precision to round-trip, strings are
-// escaped per RFC 8259.
+// escaped per RFC 8259. Writing is header-only and std-only, so std-only
+// tools can serialize without linking cryptodrop_common.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/result.hpp"
 
 namespace cryptodrop {
 
@@ -56,8 +60,20 @@ class Json {
     return j;
   }
 
-  /// Object field (insertion-ordered; duplicate keys keep both, last one
-  /// wins for consumers that de-duplicate). Returns *this for chaining.
+  /// Deepest array/object nesting parse() accepts. The deepest document
+  /// the repo writes (a `verdicts` response) nests 7 levels; a bound
+  /// keeps hostile input from exhausting the stack of the recursive
+  /// reader.
+  static constexpr int kMaxParseDepth = 64;
+
+  /// Reads exactly one JSON document; trailing non-whitespace is an
+  /// error. Failures are invalid_argument with "<what> at offset N".
+  /// Duplicate object keys are kept in document order (find() returns
+  /// the first); \u escapes decode as single BMP code points.
+  static Result<Json> parse(std::string_view text);
+
+  /// Object field (insertion-ordered; duplicate keys keep both and
+  /// find() returns the first). Returns *this for chaining.
   Json& set(std::string key, Json value) {
     fields_.emplace_back(std::move(key), std::move(value));
     return *this;
@@ -69,6 +85,10 @@ class Json {
     return *this;
   }
 
+  /// True when this value is null.
+  [[nodiscard]] bool is_null() const { return kind_ == Kind::null; }
+  /// True when this value is a boolean.
+  [[nodiscard]] bool is_bool() const { return kind_ == Kind::boolean; }
   /// True when this value is an object.
   [[nodiscard]] bool is_object() const { return kind_ == Kind::object; }
   /// True when this value is an array.
@@ -79,17 +99,41 @@ class Json {
   [[nodiscard]] bool is_string() const { return kind_ == Kind::string; }
   /// The numeric value (0.0 when this is not a number).
   [[nodiscard]] double as_number() const { return number_; }
+  /// The boolean value (false when this is not a boolean).
+  [[nodiscard]] bool as_bool() const { return bool_; }
+  /// The string value (empty when this is not a string).
+  [[nodiscard]] const std::string& as_string() const { return string_; }
+  /// Array elements (empty when this is not an array).
+  [[nodiscard]] const std::vector<Json>& items() const { return elements_; }
+  /// Object members in document order (empty when this is not an object).
+  [[nodiscard]] const std::vector<std::pair<std::string, Json>>& fields() const {
+    return fields_;
+  }
 
-  /// Object field lookup (last duplicate wins, matching de-duplicating
-  /// consumers); nullptr when absent or this is not an object. Lets
-  /// report writers validate their own schema before shipping a file.
+  /// Object field lookup (first match when a key repeats); nullptr when
+  /// absent or this is not an object.
   [[nodiscard]] const Json* find(std::string_view key) const {
     if (kind_ != Kind::object) return nullptr;
-    const Json* found = nullptr;
     for (const auto& [k, v] : fields_) {
-      if (k == key) found = &v;
+      if (k == key) return &v;
     }
-    return found;
+    return nullptr;
+  }
+  /// String member, or `fallback` when absent or not a string.
+  [[nodiscard]] std::string string_or(std::string_view key,
+                                      std::string_view fallback) const {
+    const Json* v = find(key);
+    return v != nullptr && v->is_string() ? v->string_ : std::string(fallback);
+  }
+  /// Numeric member, or `fallback` when absent or not a number.
+  [[nodiscard]] double number_or(std::string_view key, double fallback) const {
+    const Json* v = find(key);
+    return v != nullptr && v->is_number() ? v->number_ : fallback;
+  }
+  /// Boolean member, or `fallback` when absent or not a boolean.
+  [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const {
+    const Json* v = find(key);
+    return v != nullptr && v->is_bool() ? v->bool_ : fallback;
   }
   /// Element count for arrays, field count for objects.
   [[nodiscard]] std::size_t size() const {

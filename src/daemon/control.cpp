@@ -41,8 +41,8 @@ Response error_response(const Status& status) {
 /// Applies the documented `config` overrides (docs/DAEMON.md `attach`)
 /// on top of the daemon's default scoring config.
 core::ScoringConfig config_from_json(core::ScoringConfig base,
-                                     const JsonValue* overrides) {
-  if (overrides == nullptr || overrides->kind != JsonValue::Kind::object) {
+                                     const Json* overrides) {
+  if (overrides == nullptr || !overrides->is_object()) {
     return base;
   }
   base.score_threshold = static_cast<int>(overrides->number_or(
@@ -59,7 +59,7 @@ core::ScoringConfig config_from_json(core::ScoringConfig base,
   return base;
 }
 
-Response handle_request(Daemon& daemon, const JsonValue& request,
+Response handle_request(Daemon& daemon, const Json& request,
                         WatchSubscription* watch) {
   const std::string type = request.string_or("type", "");
   if (type == "ping") {
@@ -88,19 +88,19 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
     return ok_with(ok_response());
   }
   if (type == "submit") {
-    const JsonValue* ops = request.find("ops");
-    if (ops == nullptr || ops->kind != JsonValue::Kind::array) {
+    const Json* ops = request.find("ops");
+    if (ops == nullptr || !ops->is_array()) {
       return error_response("submit requires an `ops` array");
     }
     std::vector<vfs::TraceEntry> entries;
-    entries.reserve(ops->items.size());
-    for (const JsonValue& op : ops->items) {
-      if (op.kind != JsonValue::Kind::string) {
+    entries.reserve(ops->size());
+    for (const Json& op : ops->items()) {
+      if (!op.is_string()) {
         return error_response("each op must be a serialized trace-entry string");
       }
-      std::optional<vfs::TraceEntry> entry = vfs::parse_trace_entry(op.str);
+      std::optional<vfs::TraceEntry> entry = vfs::parse_trace_entry(op.as_string());
       if (!entry.has_value()) {
-        return error_response("malformed trace entry: " + op.str);
+        return error_response("malformed trace entry: " + op.as_string());
       }
       entries.push_back(std::move(*entry));
     }
@@ -112,9 +112,9 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
         .set("shed", result.value().shed));
   }
   if (type == "drain") {
-    const JsonValue* tenant = request.find("tenant");
-    if (tenant != nullptr && tenant->kind == JsonValue::Kind::string) {
-      const Status status = daemon.drain(tenant->str);
+    const Json* tenant = request.find("tenant");
+    if (tenant != nullptr && tenant->is_string()) {
+      const Status status = daemon.drain(tenant->as_string());
       if (!status) return error_response(status);
     } else {
       daemon.drain();
@@ -136,9 +136,9 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
     return ok_with(ok_response().set("forensic", obs::to_json(timeline.value())));
   }
   if (type == "metrics") {
-    const JsonValue* tenant = request.find("tenant");
-    if (tenant != nullptr && tenant->kind == JsonValue::Kind::string) {
-      Result<obs::MetricsSnapshot> snapshot = daemon.tenant_metrics(tenant->str);
+    const Json* tenant = request.find("tenant");
+    if (tenant != nullptr && tenant->is_string()) {
+      Result<obs::MetricsSnapshot> snapshot = daemon.tenant_metrics(tenant->as_string());
       if (!snapshot) return error_response(snapshot.status());
       return ok_with(ok_response().set("metrics", obs::to_json(snapshot.value())));
     }
@@ -161,10 +161,10 @@ Response handle_request(Daemon& daemon, const JsonValue& request,
                             static_cast<unsigned long long>(drain.dropped)));
   }
   if (type == "watch") {
-    const JsonValue* cursor = request.find("cursor");
+    const Json* cursor = request.find("cursor");
     const std::uint64_t start =
-        cursor != nullptr && cursor->kind == JsonValue::Kind::number
-            ? static_cast<std::uint64_t>(cursor->num)
+        cursor != nullptr && cursor->is_number()
+            ? static_cast<std::uint64_t>(cursor->as_number())
             : daemon.telemetry().journal().emitted();
     if (watch != nullptr) {
       watch->requested = true;
@@ -216,11 +216,11 @@ std::string ControlDispatcher::handle_line(const std::string& line) {
 std::string ControlDispatcher::handle_line(const std::string& line,
                                            WatchSubscription* watch) {
   daemon_->daemon_metrics().control_requests().add();
-  std::optional<JsonValue> request = parse_json(line);
+  const Result<Json> request = Json::parse(line);
   Response response =
-      (!request.has_value() || request->kind != JsonValue::Kind::object)
+      (!request || !request.value().is_object())
           ? error_response("request is not a JSON object")
-          : handle_request(*daemon_, *request, watch);
+          : handle_request(*daemon_, request.value(), watch);
   if (!response.ok) daemon_->daemon_metrics().control_errors().add();
   return response.body.to_string();
 }

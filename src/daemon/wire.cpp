@@ -1,209 +1,8 @@
 #include "daemon/wire.hpp"
 
-#include <cctype>
-#include <charconv>
-
 #include "obs/timeline.hpp"
 
 namespace cryptodrop::daemon {
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind != Kind::object) return nullptr;
-  for (const auto& [k, v] : fields) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-std::string JsonValue::string_or(std::string_view key,
-                                 std::string_view fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->kind == Kind::string ? v->str
-                                                 : std::string(fallback);
-}
-
-double JsonValue::number_or(std::string_view key, double fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->kind == Kind::number ? v->num : fallback;
-}
-
-bool JsonValue::bool_or(std::string_view key, bool fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->kind == Kind::boolean ? v->b : fallback;
-}
-
-namespace {
-
-/// Recursive-descent JSON reader over a string_view cursor.
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) == word) {
-      pos += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<std::string> parse_string() {
-    if (!consume('"')) return std::nullopt;
-    std::string out;
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos >= text.size()) return std::nullopt;
-      const char esc = text[pos++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos + 4 > text.size()) return std::nullopt;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text[pos++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return std::nullopt;
-          }
-          // UTF-8 encode the BMP code point (surrogate pairs are not
-          // produced by this project's own serializer).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: return std::nullopt;
-      }
-    }
-    return std::nullopt;  // Unterminated string.
-  }
-
-  std::optional<JsonValue> parse_value() {
-    skip_ws();
-    if (pos >= text.size()) return std::nullopt;
-    JsonValue v;
-    const char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      v.kind = JsonValue::Kind::object;
-      skip_ws();
-      if (consume('}')) return v;
-      while (true) {
-        auto key = parse_string();
-        if (!key || !consume(':')) return std::nullopt;
-        auto member = parse_value();
-        if (!member) return std::nullopt;
-        v.fields.emplace_back(std::move(*key), std::move(*member));
-        if (consume(',')) continue;
-        if (consume('}')) return v;
-        return std::nullopt;
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      v.kind = JsonValue::Kind::array;
-      skip_ws();
-      if (consume(']')) return v;
-      while (true) {
-        auto item = parse_value();
-        if (!item) return std::nullopt;
-        v.items.push_back(std::move(*item));
-        if (consume(',')) continue;
-        if (consume(']')) return v;
-        return std::nullopt;
-      }
-    }
-    if (c == '"') {
-      auto s = parse_string();
-      if (!s) return std::nullopt;
-      v.kind = JsonValue::Kind::string;
-      v.str = std::move(*s);
-      return v;
-    }
-    if (c == 't') {
-      if (!literal("true")) return std::nullopt;
-      v.kind = JsonValue::Kind::boolean;
-      v.b = true;
-      return v;
-    }
-    if (c == 'f') {
-      if (!literal("false")) return std::nullopt;
-      v.kind = JsonValue::Kind::boolean;
-      v.b = false;
-      return v;
-    }
-    if (c == 'n') {
-      if (!literal("null")) return std::nullopt;
-      return v;  // null_
-    }
-    // Number.
-    const std::size_t start = pos;
-    if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) ++pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '-' || text[pos] == '+')) {
-      ++pos;
-    }
-    if (pos == start) return std::nullopt;
-    double num = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data() + start, text.data() + pos, num);
-    if (ec != std::errc() || ptr != text.data() + pos) return std::nullopt;
-    v.kind = JsonValue::Kind::number;
-    v.num = num;
-    return v;
-  }
-};
-
-}  // namespace
-
-std::optional<JsonValue> parse_json(std::string_view text) {
-  Parser parser{text};
-  auto value = parser.parse_value();
-  if (!value) return std::nullopt;
-  parser.skip_ws();
-  if (parser.pos != text.size()) return std::nullopt;  // Trailing garbage.
-  return value;
-}
 
 Json report_to_json(const core::ProcessReport& report) {
   Json indicators = Json::object();

@@ -7,10 +7,9 @@
 //    microseconds, one track per (pid, tid)) loadable in Perfetto or
 //    chrome://tracing. Snapshots from many trials merge into one file
 //    via per-trial pid/tid offsets plus `process_name` metadata events.
-//  * Parse/validate — a minimal trace-event JSON reader (common/json.hpp
-//    is serialize-only by design) plus a validator for the properties
-//    tests and `trace-report` rely on: well-formed, monotone `ts` per
-//    (pid, tid) track, matching B/E pairs.
+//  * Parse/validate — trace events read through Json::parse plus a
+//    validator for the properties tests and `trace-report` rely on:
+//    well-formed, monotone `ts` per (pid, tid) track, matching B/E pairs.
 //  * Analyze — folds a parsed trace into the critical-path summary the
 //    `cryptodrop trace-report` subcommand prints: per-stage self-time
 //    table, top-k slowest operations with their stage breakdown, and

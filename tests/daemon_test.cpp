@@ -659,6 +659,48 @@ TEST_F(DaemonTest, HealthVerdictTracksOverloadEpisodeAndRecovery) {
   daemon.shutdown(/*drain_first=*/true);
 }
 
+/// The daemon-wide value of one counter (0 when absent).
+std::uint64_t counter_value(const Daemon& daemon, std::string_view name) {
+  for (const obs::CounterSnapshot& counter : daemon.metrics().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
+TEST_F(DaemonTest, ControlHostileJsonNestingIsOneErrorLine) {
+  // 30,000 levels in a single request line: one error envelope, one
+  // counted error, and the daemon still answers.
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  constexpr std::size_t kDepth = 30000;
+  std::string objects;
+  for (std::size_t i = 0; i < kDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kDepth, '}');
+  for (const std::string& line :
+       {std::string(kDepth, '[') + std::string(kDepth, ']'), objects}) {
+    const std::uint64_t errors_before =
+        counter_value(daemon, "daemon_control_errors_total");
+    const std::string response = dispatcher.handle_line(line);
+    EXPECT_EQ(response.rfind("{\"ok\":false", 0), 0u) << response;
+    EXPECT_EQ(response.find('\n'), std::string::npos);
+    EXPECT_EQ(counter_value(daemon, "daemon_control_errors_total"),
+              errors_before + 1);
+  }
+  EXPECT_EQ(dispatcher.handle_line("{\"type\":\"ping\"}"),
+            "{\"ok\":true,\"pong\":true}");
+  daemon.shutdown(/*drain_first=*/true);
+}
+
+TEST_F(DaemonTest, ControlDuplicateJsonKeyFirstMatchWins) {
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  EXPECT_EQ(dispatcher.handle_line("{\"type\":\"ping\",\"type\":\"shutdown\"}"),
+            "{\"ok\":true,\"pong\":true}");
+  EXPECT_FALSE(daemon.shutdown_complete());
+  EXPECT_TRUE(daemon.attach("still_running").is_ok());
+  daemon.shutdown(/*drain_first=*/true);
+}
+
 TEST_F(DaemonTest, ControlEventsRequestPagesWithCursorsAndFilters) {
   Daemon daemon(env->base_fs, small_options(1, 64));
   ControlDispatcher dispatcher(daemon);
@@ -671,20 +713,20 @@ TEST_F(DaemonTest, ControlEventsRequestPagesWithCursorsAndFilters) {
   dispatcher.handle_line("{\"type\":\"attach\",\"tenant\":\"b\"}");
   dispatcher.handle_line("{\"type\":\"detach\",\"tenant\":\"b\"}");
   const std::string all = dispatcher.handle_line("{\"type\":\"events\"}");
-  const std::optional<JsonValue> parsed = parse_json(all);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->bool_or("ok", false));
-  const JsonValue* events = parsed->find("events");
+  const Result<Json> parsed = Json::parse(all);
+  ASSERT_TRUE(parsed.is_ok()) << all;
+  ASSERT_TRUE(parsed.value().bool_or("ok", false));
+  const Json* events = parsed.value().find("events");
   ASSERT_NE(events, nullptr);
   // worker_start + attach a + attach b + detach b, cursor order.
-  ASSERT_GE(events->items.size(), 4u);
+  ASSERT_GE(events->items().size(), 4u);
   double last_cursor = -1.0;
-  for (const JsonValue& event : events->items) {
+  for (const Json& event : events->items()) {
     EXPECT_GT(event.number_or("cursor", -1.0), last_cursor);
     last_cursor = event.number_or("cursor", -1.0);
   }
-  EXPECT_EQ(parsed->number_or("dropped", -1.0), 0.0);
-  const double next_cursor = parsed->number_or("next_cursor", -1.0);
+  EXPECT_EQ(parsed.value().number_or("dropped", -1.0), 0.0);
+  const double next_cursor = parsed.value().number_or("next_cursor", -1.0);
   EXPECT_EQ(next_cursor, static_cast<double>(
                              daemon.telemetry().journal().emitted()));
   // A follow-up from next_cursor is empty; a tenant filter sees only
@@ -692,17 +734,17 @@ TEST_F(DaemonTest, ControlEventsRequestPagesWithCursorsAndFilters) {
   const std::string tail = dispatcher.handle_line(
       "{\"type\":\"events\",\"cursor\":" +
       std::to_string(static_cast<unsigned long long>(next_cursor)) + "}");
-  const std::optional<JsonValue> tail_parsed = parse_json(tail);
-  ASSERT_TRUE(tail_parsed.has_value());
-  EXPECT_TRUE(tail_parsed->find("events")->items.empty());
+  const Result<Json> tail_parsed = Json::parse(tail);
+  ASSERT_TRUE(tail_parsed.is_ok()) << tail;
+  EXPECT_TRUE(tail_parsed.value().find("events")->items().empty());
   const std::string only_b = dispatcher.handle_line(
       "{\"type\":\"events\",\"tenant\":\"b\"}");
-  const std::optional<JsonValue> b_parsed = parse_json(only_b);
-  ASSERT_TRUE(b_parsed.has_value());
-  const JsonValue* b_events = b_parsed->find("events");
+  const Result<Json> b_parsed = Json::parse(only_b);
+  ASSERT_TRUE(b_parsed.is_ok()) << only_b;
+  const Json* b_events = b_parsed.value().find("events");
   ASSERT_NE(b_events, nullptr);
-  ASSERT_EQ(b_events->items.size(), 2u);  // attach b, detach b.
-  for (const JsonValue& event : b_events->items) {
+  ASSERT_EQ(b_events->items().size(), 2u);  // attach b, detach b.
+  for (const Json& event : b_events->items()) {
     EXPECT_EQ(event.string_or("tenant", ""), "b");
   }
   daemon.shutdown(/*drain_first=*/true);
@@ -717,10 +759,10 @@ TEST_F(DaemonTest, ControlHealthAndWatchAcknowledgements) {
     std::this_thread::yield();
   }
   const std::string health = dispatcher.handle_line("{\"type\":\"health\"}");
-  const std::optional<JsonValue> parsed = parse_json(health);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->bool_or("ok", false));
-  const JsonValue* verdict = parsed->find("health");
+  const Result<Json> parsed = Json::parse(health);
+  ASSERT_TRUE(parsed.is_ok()) << health;
+  ASSERT_TRUE(parsed.value().bool_or("ok", false));
+  const Json* verdict = parsed.value().find("health");
   ASSERT_NE(verdict, nullptr);
   EXPECT_EQ(verdict->string_or("level", ""), "ok");
   EXPECT_EQ(verdict->number_or("workers", 0.0), 2.0);

@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/ranked_mutex.hpp"
-#include "daemon/wire.hpp"
 #include "lint/graph.hpp"
 #include "lint/lint_rules.hpp"
 #include "lint/scan.hpp"
@@ -471,8 +471,9 @@ TEST(LintReport, RendersTheDocumentedSchema) {
   stats.suppressions_used = 4;
 
   const std::string text = lint::render_report_json(stats);
-  const auto doc = cryptodrop::daemon::parse_json(text);
-  ASSERT_TRUE(doc.has_value());
+  const auto parsed = cryptodrop::Json::parse(text);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const cryptodrop::Json* doc = &parsed.value();
 
   EXPECT_EQ(doc->number_or("schema_version", 0), 1);
   EXPECT_EQ(doc->number_or("files_scanned", 0), 7);
@@ -484,12 +485,12 @@ TEST(LintReport, RendersTheDocumentedSchema) {
   EXPECT_EQ(graph->number_or("edges", 0), 9);
   const auto* layers = graph->find("layers");
   ASSERT_NE(layers, nullptr);
-  ASSERT_EQ(layers->items.size(), 2u);
-  EXPECT_EQ(layers->items[0].string_or("name", ""), "common");
-  EXPECT_EQ(layers->items[0].number_or("rank", -1), 0);
-  EXPECT_EQ(layers->items[0].number_or("files", 0), 3);
-  EXPECT_EQ(layers->items[0].number_or("fan_in", 0), 5);
-  EXPECT_EQ(layers->items[1].number_or("fan_out", 0), 5);
+  ASSERT_EQ(layers->items().size(), 2u);
+  EXPECT_EQ(layers->items()[0].string_or("name", ""), "common");
+  EXPECT_EQ(layers->items()[0].number_or("rank", -1), 0);
+  EXPECT_EQ(layers->items()[0].number_or("files", 0), 3);
+  EXPECT_EQ(layers->items()[0].number_or("fan_in", 0), 5);
+  EXPECT_EQ(layers->items()[1].number_or("fan_out", 0), 5);
 
   const auto* hot = doc->find("hot_paths");
   ASSERT_NE(hot, nullptr);
@@ -506,13 +507,30 @@ TEST(LintReport, RendersTheDocumentedSchema) {
 }
 
 TEST(LintReport, EmptyStatsStillParse) {
-  const auto doc =
-      cryptodrop::daemon::parse_json(lint::render_report_json({}));
-  ASSERT_TRUE(doc.has_value());
+  const auto parsed = cryptodrop::Json::parse(lint::render_report_json({}));
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const cryptodrop::Json* doc = &parsed.value();
   EXPECT_EQ(doc->number_or("schema_version", 0), 1);
   const auto* violations = doc->find("violations");
   ASSERT_NE(violations, nullptr);
   EXPECT_EQ(violations->number_or("total", -1), 0);
+}
+
+TEST(LintReport, JsonRoundTrip) {
+  lint::ReportStats stats;
+  stats.files_scanned = 3;
+  stats.layers = {lint::LayerStat{"common", 0, 3, 1, 0}};
+  stats.violations_by_rule = {{"hot-alloc", 1}};
+  for (const lint::ReportStats& s : {stats, lint::ReportStats{}}) {
+    const std::string text = lint::render_report_json(s);
+    const auto parsed = cryptodrop::Json::parse(text);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    EXPECT_EQ(parsed.value().to_pretty_string(), text);
+    const std::string compact = parsed.value().to_string();
+    const auto reparsed = cryptodrop::Json::parse(compact);
+    ASSERT_TRUE(reparsed.is_ok()) << reparsed.status().to_string();
+    EXPECT_EQ(reparsed.value().to_string(), compact);
+  }
 }
 
 // --- runtime lock-rank validator ---------------------------------------

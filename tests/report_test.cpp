@@ -1,5 +1,5 @@
-// Tests for the JSON builder, the machine-readable reports, multi-root
-// protection, and the engine's latency self-instrumentation.
+// Tests for the JSON builder and reader, the machine-readable reports,
+// multi-root protection, and the engine's latency self-instrumentation.
 #include <gtest/gtest.h>
 
 #include "common/json.hpp"
@@ -59,6 +59,147 @@ TEST(Json, PrettyPrintingIndents) {
   j.set("k", Json::array().push(1).push(2));
   const std::string pretty = j.to_pretty_string();
   EXPECT_NE(pretty.find("{\n  \"k\": [\n    1,\n    2\n  ]\n}"), std::string::npos);
+}
+
+// --- Json reader ---------------------------------------------------------------
+
+TEST(JsonParse, ReadsEveryKindThroughTheAccessors) {
+  const Result<Json> parsed = Json::parse(
+      " {\"n\": null, \"t\": true, \"f\": false, \"x\": -2.5e1,"
+      " \"s\": \"hi\", \"a\": [1, \"two\", {}], \"o\": {\"k\": []}} \n");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const Json& doc = parsed.value();
+  ASSERT_TRUE(doc.is_object());
+  ASSERT_EQ(doc.fields().size(), 7u);
+  EXPECT_EQ(doc.fields()[0].first, "n");
+  EXPECT_EQ(doc.fields()[6].first, "o");
+  EXPECT_TRUE(doc.find("n")->is_null());
+  EXPECT_TRUE(doc.find("t")->is_bool());
+  EXPECT_TRUE(doc.find("t")->as_bool());
+  EXPECT_FALSE(doc.bool_or("f", true));
+  EXPECT_EQ(doc.number_or("x", 0), -25.0);
+  EXPECT_EQ(doc.string_or("s", ""), "hi");
+  const Json* a = doc.find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(a->is_array());
+  ASSERT_EQ(a->items().size(), 3u);
+  EXPECT_EQ(a->items()[0].as_number(), 1.0);
+  EXPECT_EQ(a->items()[1].as_string(), "two");
+  EXPECT_TRUE(a->items()[2].is_object());
+  EXPECT_TRUE(doc.find("o")->find("k")->is_array());
+  // Fallbacks: absent keys, wrong kinds, lookups on non-objects.
+  EXPECT_EQ(doc.string_or("x", "fb"), "fb");
+  EXPECT_EQ(doc.number_or("s", 7), 7);
+  EXPECT_TRUE(doc.bool_or("missing", true));
+  EXPECT_EQ(a->find("s"), nullptr);
+  EXPECT_TRUE(a->fields().empty());
+  EXPECT_TRUE(doc.items().empty());
+}
+
+TEST(JsonParse, DecodesEscapes) {
+  const Result<Json> parsed =
+      Json::parse(R"("q\" b\\ s\/ \b\f\n\r\t \u0001 \u00e9 \u20AC")");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value().as_string(),
+            "q\" b\\ s/ \b\f\n\r\t \x01 \xC3\xA9 \xE2\x82\xAC");
+}
+
+TEST(JsonParse, RejectsMalformedInputWithWhatAndOffset) {
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"", "unexpected end of input at offset 0"},
+      {"nul", "bad literal at offset 0"},
+      {"[tru]", "bad literal at offset 1"},
+      {"\"\\u12\"", "truncated \\u escape at offset 3"},
+      {"\"\\u12g4\"", "bad \\u escape at offset 6"},
+      {"\"\\q\"", "bad escape at offset 3"},
+      {"\"abc", "unterminated string at offset 4"},
+      {"\"abc\\", "unterminated string at offset 5"},
+      {"[1,2", "unterminated array at offset 4"},
+      {"[1 2]", "expected ',' or ']' at offset 3"},
+      {"{\"a\":1", "unterminated object at offset 6"},
+      {"{\"a\":1 \"b\":2}", "expected ',' or '}' at offset 7"},
+      {"{\"a\" 1}", "expected ':' at offset 5"},
+      {"{1:2}", "expected object key at offset 1"},
+      {"[1,]", "expected a value at offset 3"},
+      {"{} x", "trailing characters after JSON value at offset 3"},
+      {"1.2.3", "bad number '1.2.3' at offset 0"},
+      {"-", "bad number '-' at offset 0"},
+      {"[+1]", "bad number '+1' at offset 1"},
+      {"1e999", "bad number '1e999' at offset 0"},
+  };
+  for (const auto& c : cases) {
+    const Result<Json> parsed = Json::parse(c.text);
+    ASSERT_FALSE(parsed.is_ok()) << c.text;
+    EXPECT_EQ(parsed.code(), Errc::invalid_argument) << c.text;
+    EXPECT_EQ(parsed.status().message(), c.message) << c.text;
+  }
+}
+
+TEST(JsonParse, NestingIsBoundedAtTheLimit) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const std::size_t limit = Json::kMaxParseDepth;
+  EXPECT_TRUE(Json::parse(nested(limit)).is_ok());
+  const Result<Json> over = Json::parse(nested(limit + 1));
+  ASSERT_FALSE(over.is_ok());
+  EXPECT_EQ(over.status().message(),
+            "nesting deeper than " + std::to_string(limit) + " at offset " +
+                std::to_string(limit));
+}
+
+TEST(JsonParse, HostileJsonNestingIsAnErrorNotACrash) {
+  // 30,000 levels overflowed an unbounded recursive reader's 8 MiB
+  // stack; the bound turns it into an ordinary parse error.
+  constexpr std::size_t kDepth = 30000;
+  const std::string arrays = std::string(kDepth, '[') + std::string(kDepth, ']');
+  std::string objects;
+  for (std::size_t i = 0; i < kDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kDepth, '}');
+  for (const std::string& text : {arrays, objects}) {
+    const Result<Json> parsed = Json::parse(text);
+    ASSERT_FALSE(parsed.is_ok());
+    EXPECT_NE(parsed.status().message().find("nesting deeper than"),
+              std::string::npos);
+  }
+}
+
+TEST(JsonParse, DuplicateKeysKeepDocumentOrderAndFindTheFirst) {
+  const Result<Json> parsed = Json::parse("{\"k\":1,\"k\":2}");
+  ASSERT_TRUE(parsed.is_ok());
+  EXPECT_EQ(parsed.value().size(), 2u);
+  EXPECT_EQ(parsed.value().number_or("k", 0), 1.0);
+  Json built = Json::object();
+  built.set("k", "first").set("k", "second");
+  EXPECT_EQ(built.string_or("k", ""), "first");
+}
+
+TEST(JsonParse, RoundTripsAHandBuiltValue) {
+  Json j = Json::object();
+  j.set("control", std::string("a\x01" "b\x1f", 4))
+      .set("escapes", "line\nbreak\ttab \"quoted\" back\\slash")
+      .set("bmp", "caf\xC3\xA9 \xE2\x82\xAC \xE4\xB8\xAD")
+      .set("ints", Json::array()
+                       .push(0)
+                       .push(-1)
+                       .push(4294967296LL)
+                       .push(9007199254740992LL)
+                       .push(-9007199254740992LL))
+      .set("reals", Json::array().push(0.1).push(-2.5).push(1.0 / 3.0).push(6.02e-23))
+      .set("empty_array", Json::array())
+      .set("empty_object", Json::object())
+      .set("nested", Json::array().push(Json::object().set("x", nullptr).set("y", true)));
+  for (const std::string& text : {j.to_string(), j.to_pretty_string()}) {
+    const Result<Json> parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    EXPECT_EQ(parsed.value().to_string(), j.to_string());
+    EXPECT_EQ(parsed.value().to_pretty_string(), j.to_pretty_string());
+  }
+  EXPECT_EQ(Json::parse(j.to_string()).value().string_or("control", ""),
+            std::string("a\x01" "b\x1f", 4));
 }
 
 // --- harness reports ---------------------------------------------------------

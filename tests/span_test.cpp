@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "daemon/wire.hpp"
 #include "harness/chaos.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
@@ -288,6 +289,41 @@ TEST_F(SpanHarnessTest, TraceJsonRoundTripsAndValidates) {
   EXPECT_FALSE(report.stages.empty());
   EXPECT_LE(report.slowest.size(), 5u);
   EXPECT_FALSE(format_trace_report(report).empty());
+}
+
+TEST_F(SpanHarnessTest, JsonRoundTripOfScoreboardAndTrace) {
+  // Every document a traced campaign writes parses back to the same
+  // bytes, compact and pretty.
+  harness::RunnerOptions options;
+  options.trace.enabled = true;
+  const auto results = harness::run_campaign_parallel(
+      *env, some_specs(2), core::ScoringConfig{}, options);
+  std::vector<Json> documents = {harness::trace_report(results)};
+  for (const harness::RansomwareRunResult& r : results) {
+    documents.push_back(daemon::scoreboard_to_json(r.scoreboard));
+    documents.push_back(to_trace_json(r.trace));
+  }
+  for (const Json& doc : documents) {
+    for (const std::string& text : {doc.to_string(), doc.to_pretty_string()}) {
+      const Result<Json> parsed = Json::parse(text);
+      ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+      EXPECT_EQ(parsed.value().to_string(), doc.to_string());
+      EXPECT_EQ(parsed.value().to_pretty_string(), doc.to_pretty_string());
+    }
+  }
+}
+
+TEST(TraceExport, HostileJsonNestingIsAnError) {
+  constexpr std::size_t kDepth = 30000;
+  std::string objects;
+  for (std::size_t i = 0; i < kDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kDepth, '}');
+  for (const std::string& text :
+       {std::string(kDepth, '[') + std::string(kDepth, ']'), objects}) {
+    const Result<std::vector<TraceEvent>> parsed = parse_trace_events(text);
+    ASSERT_FALSE(parsed.is_ok());
+    EXPECT_EQ(parsed.code(), Errc::invalid_argument);
+  }
 }
 
 TEST(TraceExport, EmptyTraceIsValidAndAnalyzable) {

@@ -506,7 +506,7 @@ int cmd_daemon(const Args& args) {
 
 /// Renders one `stats` watch frame as the `top` screen: health line,
 /// queue gauges, per-tenant table, then the most recent events.
-void render_top(const daemon::JsonValue& stats,
+void render_top(const Json& stats,
                 const std::deque<std::string>& events, bool plain,
                 std::size_t frame_number) {
   if (!plain) std::printf("\x1b[2J\x1b[H");
@@ -514,9 +514,8 @@ void render_top(const daemon::JsonValue& stats,
               frame_number, stats.string_or("health", "?").c_str(),
               stats.number_or("queue_depth", 0));
   harness::TextTable table({"Tenant", "Worker", "Ingested", "Executed", "Shed"});
-  if (const daemon::JsonValue* tenants = stats.find("tenants");
-      tenants != nullptr) {
-    for (const daemon::JsonValue& row : tenants->items) {
+  if (const Json* tenants = stats.find("tenants"); tenants != nullptr) {
+    for (const Json& row : tenants->items()) {
       table.add_row({row.string_or("id", "?"),
                      std::to_string(static_cast<long long>(
                          row.number_or("worker", 0))),
@@ -591,12 +590,12 @@ int cmd_top(const Args& args) {
     }
     const std::string frame_line = buffer.substr(0, nl);
     buffer.erase(0, nl + 1);
-    const std::optional<daemon::JsonValue> parsed =
-        daemon::parse_json(frame_line);
-    if (!parsed.has_value()) continue;
+    const Result<Json> frame = Json::parse(frame_line);
+    if (!frame) continue;
+    const Json& parsed = frame.value();
     if (!acked) {
       acked = true;
-      if (!parsed->bool_or("ok", false)) {
+      if (!parsed.bool_or("ok", false)) {
         std::fprintf(stderr, "error: watch rejected: %s\n",
                      frame_line.c_str());
         exit_code = 1;
@@ -604,10 +603,9 @@ int cmd_top(const Args& args) {
       }
       continue;
     }
-    const std::string kind = parsed->string_or("frame", "");
+    const std::string kind = parsed.string_or("frame", "");
     if (kind == "event") {
-      if (const daemon::JsonValue* event = parsed->find("event");
-          event != nullptr) {
+      if (const Json* event = parsed.find("event"); event != nullptr) {
         recent.push_back("#" + std::to_string(static_cast<long long>(
                                    event->number_or("cursor", 0))) + " " +
                          event->string_or("kind", "?") + " tenant=" +
@@ -617,7 +615,7 @@ int cmd_top(const Args& args) {
       }
     } else if (kind == "stats") {
       ++stats_seen;
-      render_top(*parsed, recent, plain, stats_seen);
+      render_top(parsed, recent, plain, stats_seen);
       if (max_frames > 0 && stats_seen >= max_frames) running = false;
     }
   }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "common/json.hpp"
 #include "lint/scan.hpp"
 
 namespace cryptodrop::lint {
@@ -223,49 +224,36 @@ std::vector<LayerStat> layer_stats(const IncludeGraph& graph,
 }
 
 std::string render_report_json(const ReportStats& stats) {
-  // Hand-rolled on purpose: lintscan stays dependency-free (std only),
-  // and every emitted string is a rule id or layer name — identifier
-  // characters, nothing to escape.
-  std::string out;
-  out += "{\n";
-  out += "  \"schema_version\": 1,\n";
-  out += "  \"files_scanned\": " + std::to_string(stats.files_scanned) + ",\n";
-  out += "  \"include_graph\": {\n";
-  out += "    \"nodes\": " + std::to_string(stats.graph_nodes) + ",\n";
-  out += "    \"edges\": " + std::to_string(stats.graph_edges) + ",\n";
-  out += "    \"layers\": [";
-  for (std::size_t i = 0; i < stats.layers.size(); ++i) {
-    const LayerStat& layer = stats.layers[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "      {\"name\": \"" + layer.name +
-           "\", \"rank\": " + std::to_string(layer.rank) +
-           ", \"files\": " + std::to_string(layer.files) +
-           ", \"fan_in\": " + std::to_string(layer.fan_in) +
-           ", \"fan_out\": " + std::to_string(layer.fan_out) + "}";
+  Json layers = Json::array();
+  for (const LayerStat& layer : stats.layers) {
+    layers.push(Json::object()
+                    .set("name", layer.name)
+                    .set("rank", layer.rank)
+                    .set("files", layer.files)
+                    .set("fan_in", layer.fan_in)
+                    .set("fan_out", layer.fan_out));
   }
-  out += stats.layers.empty() ? "]\n" : "\n    ]\n";
-  out += "  },\n";
-  out += "  \"hot_paths\": {\n";
-  out += "    \"annotated\": " + std::to_string(stats.hot_annotated) + ",\n";
-  out += "    \"reachable\": " + std::to_string(stats.hot_reachable) + "\n";
-  out += "  },\n";
   std::size_t total = 0;
-  for (const auto& [rule, count] : stats.violations_by_rule) total += count;
-  out += "  \"violations\": {\n";
-  out += "    \"total\": " + std::to_string(total) + ",\n";
-  out += "    \"by_rule\": {";
-  bool first = true;
+  Json by_rule = Json::object();
   for (const auto& [rule, count] : stats.violations_by_rule) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "      \"" + rule + "\": " + std::to_string(count);
+    total += count;
+    by_rule.set(rule, count);
   }
-  out += stats.violations_by_rule.empty() ? "}\n" : "\n    }\n";
-  out += "  },\n";
-  out += "  \"suppressions_used\": " + std::to_string(stats.suppressions_used) +
-         "\n";
-  out += "}\n";
-  return out;
+  return Json::object()
+      .set("schema_version", 1)
+      .set("files_scanned", stats.files_scanned)
+      .set("include_graph", Json::object()
+                                .set("nodes", stats.graph_nodes)
+                                .set("edges", stats.graph_edges)
+                                .set("layers", std::move(layers)))
+      .set("hot_paths", Json::object()
+                            .set("annotated", stats.hot_annotated)
+                            .set("reachable", stats.hot_reachable))
+      .set("violations", Json::object()
+                             .set("total", total)
+                             .set("by_rule", std::move(by_rule)))
+      .set("suppressions_used", stats.suppressions_used)
+      .to_pretty_string();
 }
 
 }  // namespace cryptodrop::lint
