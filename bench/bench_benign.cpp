@@ -20,9 +20,7 @@ int main(int argc, char** argv) {
   std::vector<harness::BenignRunResult> results;
   for (const sim::BenignWorkload& workload : sim::all_benign_workloads()) {
     std::fprintf(stderr, "[bench] %s...\n", workload.name.c_str());
-    const auto r = harness::run_benign_workload_filtered(
-        env, workload, core::ScoringConfig{}, 9, nullptr,
-        benchutil::trace_options(scale));
+    const auto r = harness::run_workload(env, workload, 9, benchutil::run_plan(scale));
     if (r.detected) ++false_positives;
     if (r.union_triggered) ++union_count;
     results.push_back(r);

@@ -91,19 +91,19 @@ inline BenchScale parse_scale(int argc, char** argv) {
   return scale;
 }
 
-/// Span-tracing knobs from the scale flags: on exactly when --trace-out
-/// named a destination.
-inline obs::TraceOptions trace_options(const BenchScale& scale) {
-  obs::TraceOptions trace;
-  trace.enabled = !scale.trace_out.empty();
-  trace.sample_every = std::max<std::size_t>(scale.trace_sample, 1);
-  return trace;
+/// The trial plan of a bench run: `config`, fault-free, span tracing on
+/// exactly when --trace-out named a destination.
+inline harness::RunPlan run_plan(const BenchScale& scale,
+                                 const core::ScoringConfig& config = {}) {
+  harness::RunPlan plan{config};
+  plan.trace.enabled = !scale.trace_out.empty();
+  plan.trace.sample_every = std::max<std::size_t>(scale.trace_sample, 1);
+  return plan;
 }
 
 inline harness::RunnerOptions runner_options(const BenchScale& scale) {
   harness::RunnerOptions options;
   options.jobs = scale.jobs;
-  options.trace = trace_options(scale);
   options.progress = [](std::size_t done, std::size_t total) {
     if (done % 100 == 0 || done == total) {
       std::fprintf(stderr, "[bench]   %zu/%zu\n", done, total);
@@ -193,8 +193,8 @@ inline std::vector<harness::RansomwareRunResult> run_standard_campaign(
   const auto specs = campaign_specs(scale);
   std::fprintf(stderr, "[bench] running %zu samples on %zu workers...\n",
                specs.size(), harness::effective_jobs(scale.jobs));
-  auto results =
-      harness::run_campaign_parallel(env, specs, config, runner_options(scale));
+  auto results = harness::run_campaign(env, specs, run_plan(scale, config),
+                                      runner_options(scale));
   maybe_write_metrics(scale, results);
   maybe_write_trace(scale, results);
   return results;

@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
     spec.seed = 404;
     specs.push_back(std::move(spec));
   }
-  const auto results = harness::run_campaign_parallel(
-      env, specs, core::ScoringConfig{}, benchutil::runner_options(scale));
+  const auto results = harness::run_campaign(env, specs, benchutil::run_plan(scale),
+                                             benchutil::runner_options(scale));
   benchutil::maybe_write_metrics(scale, results);
   benchutil::maybe_write_trace(scale, results);
 

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[bench] running %zu apps on %zu workers...\n",
                sim::figure6_workloads().size(),
                harness::effective_jobs(scale.jobs));
-  const auto results = harness::run_benign_suite_parallel(
-      env, sim::figure6_workloads(), unbounded, /*seed=*/9,
+  const auto results = harness::run_benign_suite(
+      env, sim::figure6_workloads(), /*seed=*/9, benchutil::run_plan(scale, unbounded),
       benchutil::runner_options(scale));
   benchutil::maybe_write_metrics(scale, results);
   benchutil::maybe_write_trace(scale, results);

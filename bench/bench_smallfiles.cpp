@@ -23,7 +23,7 @@ harness::RansomwareRunResult run_ctb(const harness::Environment& env,
   spec.behavior = sim::BehaviorClass::B;
   spec.profile = sim::family_profile("CTB-Locker", sim::BehaviorClass::B);
   spec.seed = seed;
-  return harness::run_ransomware_sample(env, spec, config);
+  return harness::run_sample(env, spec, {config});
 }
 
 }  // namespace
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     tesla.behavior = sim::BehaviorClass::A;
     tesla.profile = sim::family_profile("TeslaCrypt", sim::BehaviorClass::A);
     tesla.seed = 7;
-    const auto r = harness::run_ransomware_sample(env, tesla, config);
+    const auto r = harness::run_sample(env, tesla, {config});
     std::printf("%-12.2f %-12zu %llu%s\n", threshold, r.files_lost,
                 static_cast<unsigned long long>(r.report.entropy_events),
                 threshold == 0.1 ? "   <- paper's threshold" : "");

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::vector<double> stock_losses;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     stock_losses.push_back(static_cast<double>(
-        harness::run_ransomware_sample(env, bulk_sample(seed), core::ScoringConfig{})
+        harness::run_sample(env, bulk_sample(seed), {})
             .files_lost));
   }
   const double stock_median = median(stock_losses);
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       std::vector<double> losses;
       for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         losses.push_back(static_cast<double>(
-            harness::run_ransomware_sample(env, bulk_sample(seed), config).files_lost));
+            harness::run_sample(env, bulk_sample(seed), {config}).files_lost));
       }
       const double med = median(losses);
       sweep.add_row({std::to_string(window_s) + " s", std::to_string(min_files),
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   std::size_t rate_event_apps = 0;
   for (const sim::BenignWorkload& workload : sim::all_benign_workloads()) {
     std::fprintf(stderr, "[bench] benign vs rate indicator: %s\n", workload.name.c_str());
-    const auto r = harness::run_benign_workload(env, workload, strict, 33);
+    const auto r = harness::run_workload(env, workload, 33, {strict});
     if (r.detected && !r.expected_false_positive) {
       ++extra_fps;
       flagged += r.app + "; ";

@@ -22,12 +22,12 @@ int main(int argc, char** argv) {
   std::printf("building %zu-file corpus...\n", spec.total_files);
   const harness::Environment env = harness::make_environment(spec, /*seed=*/2016);
 
-  core::ScoringConfig config;
+  const harness::RunPlan plan;  // the paper's scoring, fault-free
   harness::TextTable table({"Application", "Score", "Detected", "Union"});
   std::size_t false_positives = 0;
   for (const sim::BenignWorkload& workload : sim::all_benign_workloads()) {
     const harness::BenignRunResult r =
-        harness::run_benign_workload(env, workload, config, /*seed=*/99);
+        harness::run_workload(env, workload, /*seed=*/99, plan);
     if (r.detected) ++false_positives;
     table.add_row({r.app, std::to_string(r.final_score),
                    r.detected ? (r.expected_false_positive ? "yes (expected)" : "YES")

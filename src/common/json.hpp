@@ -1,13 +1,17 @@
 // Minimal JSON value: builder, serializer and the repo's one reader
 // (parse(), in json.cpp). Deliberately tiny: objects preserve insertion
-// order, numbers print with enough precision to round-trip, strings are
+// order, numbers print with enough precision to round-trip (NaN and
+// infinities, which JSON cannot express, print as null), strings are
 // escaped per RFC 8259. Writing is header-only and std-only, so std-only
 // tools can serialize without linking cryptodrop_common.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -130,6 +134,28 @@ class Json {
     const Json* v = find(key);
     return v != nullptr && v->is_number() ? v->number_ : fallback;
   }
+  /// `d` as a T when it is a whole number within T's range — the check
+  /// that makes the float-to-integer conversion defined. nullopt for
+  /// fractions, NaN, infinities and out-of-range values.
+  template <typename T>
+  [[nodiscard]] static std::optional<T> integral(double d) {
+    // min() is 0 or -2^k and 2*(max()/2+1) is 2^digits, one past max():
+    // both are exact doubles, so the bounds do not round.
+    constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double hi = 2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    if (!(d >= lo && d < hi) || d != std::trunc(d)) return std::nullopt;
+    return static_cast<T>(d);
+  }
+  /// Integer member: `fallback` when absent or not a number (as
+  /// number_or), the value when it is a whole number in T's range, and
+  /// nullopt when it is a number T cannot hold (fractional, non-finite
+  /// or out of range) — callers turn that into an error.
+  template <typename T>
+  [[nodiscard]] std::optional<T> integer_or(std::string_view key, T fallback) const {
+    const Json* v = find(key);
+    if (v == nullptr || !v->is_number()) return fallback;
+    return integral<T>(v->number_);
+  }
   /// Boolean member, or `fallback` when absent or not a boolean.
   [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const {
     const Json* v = find(key);
@@ -195,11 +221,16 @@ class Json {
         out += bool_ ? "true" : "false";
         break;
       case Kind::number: {
+        // JSON has no NaN or infinity; they print as null.
+        if (!std::isfinite(number_)) {
+          out += "null";
+          break;
+        }
         char buf[32];
-        // Integers print without a fraction; others with %.10g.
-        if (number_ == static_cast<double>(static_cast<std::int64_t>(number_))) {
-          std::snprintf(buf, sizeof(buf), "%lld",
-                        static_cast<long long>(number_));
+        // Whole numbers in long long's range print without a fraction;
+        // others with %.10g.
+        if (const std::optional<long long> whole = integral<long long>(number_)) {
+          std::snprintf(buf, sizeof(buf), "%lld", *whole);
         } else {
           std::snprintf(buf, sizeof(buf), "%.10g", number_);
         }

@@ -1,6 +1,8 @@
 #include "daemon/control.hpp"
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "daemon/wire.hpp"
@@ -38,19 +40,33 @@ Response error_response(const Status& status) {
           false};
 }
 
+/// Integer member `key` of `object` (`fallback` when absent or not a
+/// number). A number T cannot hold — fractional, non-finite or out of
+/// range, e.g. a negative cursor or 1e300 — is an invalid_argument error
+/// rather than an undefined float-to-integer conversion.
+template <typename T>
+Result<T> integer_field(const Json& object, std::string_view key, T fallback) {
+  if (const std::optional<T> value = object.integer_or<T>(key, fallback)) {
+    return *value;
+  }
+  return Status(Errc::invalid_argument,
+                "`" + std::string(key) + "` must be a whole number in range");
+}
+
 /// Applies the documented `config` overrides (docs/DAEMON.md `attach`)
 /// on top of the daemon's default scoring config.
-core::ScoringConfig config_from_json(core::ScoringConfig base,
-                                     const Json* overrides) {
+Result<core::ScoringConfig> config_from_json(core::ScoringConfig base,
+                                             const Json* overrides) {
   if (overrides == nullptr || !overrides->is_object()) {
     return base;
   }
-  base.score_threshold = static_cast<int>(overrides->number_or(
-      "score_threshold", base.score_threshold));
-  base.union_threshold = static_cast<int>(overrides->number_or(
-      "union_threshold", base.union_threshold));
-  base.union_bonus =
-      static_cast<int>(overrides->number_or("union_bonus", base.union_bonus));
+  for (auto [key, field] : {std::pair{"score_threshold", &base.score_threshold},
+                            std::pair{"union_threshold", &base.union_threshold},
+                            std::pair{"union_bonus", &base.union_bonus}}) {
+    const Result<int> value = integer_field(*overrides, key, *field);
+    if (!value) return value.status();
+    *field = value.value();
+  }
   base.enable_union = overrides->bool_or("enable_union", base.enable_union);
   base.enable_family_scoring = overrides->bool_or("enable_family_scoring",
                                                   base.enable_family_scoring);
@@ -67,9 +83,10 @@ Response handle_request(Daemon& daemon, const Json& request,
   }
   if (type == "attach") {
     const std::string tenant = request.string_or("tenant", "");
-    const Status status = daemon.attach(
-        tenant, config_from_json(daemon.default_config(),
-                                 request.find("config")));
+    Result<core::ScoringConfig> config =
+        config_from_json(daemon.default_config(), request.find("config"));
+    if (!config) return error_response(config.status());
+    const Status status = daemon.attach(tenant, std::move(config).value());
     if (!status) return error_response(status);
     return ok_with(ok_response().set("tenant", tenant));
   }
@@ -79,11 +96,14 @@ Response handle_request(Daemon& daemon, const Json& request,
     return ok_with(ok_response());
   }
   if (type == "spawn") {
-    const Status status = daemon.spawn(
-        request.string_or("tenant", ""),
-        static_cast<vfs::ProcessId>(request.number_or("pid", 0)),
-        request.string_or("name", "process"),
-        static_cast<vfs::ProcessId>(request.number_or("parent", 0)));
+    const Result<vfs::ProcessId> pid = integer_field<vfs::ProcessId>(request, "pid", 0);
+    if (!pid) return error_response(pid.status());
+    const Result<vfs::ProcessId> parent =
+        integer_field<vfs::ProcessId>(request, "parent", 0);
+    if (!parent) return error_response(parent.status());
+    const Status status =
+        daemon.spawn(request.string_or("tenant", ""), pid.value(),
+                     request.string_or("name", "process"), parent.value());
     if (!status) return error_response(status);
     return ok_with(ok_response());
   }
@@ -129,9 +149,10 @@ Response handle_request(Daemon& daemon, const Json& request,
                              scoreboard_to_json(snapshot.value())));
   }
   if (type == "explain") {
+    const Result<vfs::ProcessId> pid = integer_field<vfs::ProcessId>(request, "pid", 0);
+    if (!pid) return error_response(pid.status());
     Result<obs::ForensicTimeline> timeline =
-        daemon.explain(request.string_or("tenant", ""),
-                       static_cast<vfs::ProcessId>(request.number_or("pid", 0)));
+        daemon.explain(request.string_or("tenant", ""), pid.value());
     if (!timeline) return error_response(timeline.status());
     return ok_with(ok_response().set("forensic", obs::to_json(timeline.value())));
   }
@@ -145,12 +166,14 @@ Response handle_request(Daemon& daemon, const Json& request,
     return ok_with(ok_response().set("metrics", obs::to_json(daemon.metrics())));
   }
   if (type == "events") {
-    const auto cursor =
-        static_cast<std::uint64_t>(request.number_or("cursor", 0));
+    const Result<std::uint64_t> cursor =
+        integer_field<std::uint64_t>(request, "cursor", 0);
+    if (!cursor) return error_response(cursor.status());
+    const Result<std::size_t> max = integer_field<std::size_t>(request, "max", 256);
+    if (!max) return error_response(max.status());
     const std::string tenant = request.string_or("tenant", "");
-    const auto max = static_cast<std::size_t>(request.number_or("max", 256));
     const EventJournal::Drain drain =
-        daemon.telemetry().journal().since(cursor, tenant, max);
+        daemon.telemetry().journal().since(cursor.value(), tenant, max.value());
     Json rows = Json::array();
     for (const JournalEvent& event : drain.events) rows.push(to_json(event));
     return ok_with(ok_response()
@@ -161,11 +184,10 @@ Response handle_request(Daemon& daemon, const Json& request,
                             static_cast<unsigned long long>(drain.dropped)));
   }
   if (type == "watch") {
-    const Json* cursor = request.find("cursor");
-    const std::uint64_t start =
-        cursor != nullptr && cursor->is_number()
-            ? static_cast<std::uint64_t>(cursor->as_number())
-            : daemon.telemetry().journal().emitted();
+    const Result<std::uint64_t> cursor = integer_field<std::uint64_t>(
+        request, "cursor", daemon.telemetry().journal().emitted());
+    if (!cursor) return error_response(cursor.status());
+    const std::uint64_t start = cursor.value();
     if (watch != nullptr) {
       watch->requested = true;
       watch->tenant = request.string_or("tenant", "");

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -29,6 +30,7 @@ long long mono_ms() {
 /// Per-connection transport state (input framing + watch stream).
 struct Conn {
   std::string in;              ///< Unconsumed request bytes.
+  std::size_t scanned = 0;     ///< Prefix of `in` known to hold no '\n'.
   std::string out;             ///< Pending output (watch streams only).
   bool watching = false;       ///< Promoted to a push stream.
   std::string tenant_filter;   ///< Watch tenant filter ("" = all).
@@ -46,7 +48,7 @@ bool make_address(const std::string& path, sockaddr_un& addr) {
 }
 
 /// Writes all of `data` to `fd` (retrying short writes). False on error.
-bool write_all(int fd, const std::string& data) {
+bool write_all(int fd, std::string_view data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
     const ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
@@ -104,6 +106,17 @@ std::string stats_frame(Daemon& daemon, const std::string& tenant_filter) {
              .set("queue_depths", std::move(depths))
              .set("health", std::string(health_level_name(health.level)))
       .to_string() + "\n";
+}
+
+/// The one response an over-long request line gets before its
+/// connection closes.
+std::string oversized_line_error() {
+  return Json::object()
+             .set("ok", false)
+             .set("error", "request line exceeds " +
+                               std::to_string(kMaxRequestLineBytes) + " bytes")
+             .set("code", std::string(errc_name(Errc::invalid_argument)))
+             .to_string() + "\n";
 }
 
 /// One `{"frame":"event",...}` line wrapping a journal event.
@@ -240,8 +253,13 @@ void SocketServer::serve_loop() {
       conn.in.append(chunk, static_cast<std::size_t>(n));
       std::size_t start = 0;
       bool dead = false;
-      for (std::size_t nl = conn.in.find('\n', start);
+      bool oversized = false;
+      for (std::size_t nl = conn.in.find('\n', conn.scanned);
            nl != std::string::npos; nl = conn.in.find('\n', start)) {
+        if (nl - start > kMaxRequestLineBytes) {
+          oversized = true;
+          break;
+        }
         const std::string line = conn.in.substr(start, nl - start);
         start = nl + 1;
         WatchSubscription sub;
@@ -269,6 +287,16 @@ void SocketServer::serve_loop() {
         continue;
       }
       conn.in.erase(0, start);
+      conn.scanned = conn.in.size();
+      if (oversized || conn.in.size() > kMaxRequestLineBytes) {
+        // Over-long line (terminated or not): one error envelope, then
+        // the connection goes — its framing cannot be trusted.
+        metrics.control_requests().add();
+        metrics.control_errors().add();
+        (void)write_all(fd, oversized_line_error());
+        close_conn(fd);
+        continue;
+      }
       if (!conn.out.empty() && !flush_some(fd, conn.out)) close_conn(fd);
     }
     if (options_.idle_timeout_ms > 0) {

@@ -34,6 +34,14 @@
 
 namespace cryptodrop::daemon {
 
+/// Longest request line the server accepts, newline excluded. A longer
+/// line — terminated or not — gets one invalid_argument envelope and its
+/// connection is closed, so no client can make the serving thread buffer
+/// without bound. The largest line the repo's own clients send is a
+/// `submit` whose write ops carry hex-encoded payloads (corpus files
+/// reach 16 MiB); docs/DAEMON.md records the measured maximum.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{64} << 20;
+
 /// Transport tuning knobs (defaults suit production; tests shrink the
 /// idle deadline and frame interval to keep wall-clock short).
 struct ServerOptions {

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/stats.hpp"
 #include "core/session.hpp"
 #include "vfs/path.hpp"
-#include "vfs/recording_filter.hpp"
+#include "vfs/trace.hpp"
 
 namespace cryptodrop::harness {
 
@@ -30,126 +31,126 @@ corpus::CorpusSpec small_corpus_spec(std::size_t files, std::size_t dirs) {
   return spec;
 }
 
-RansomwareRunResult run_ransomware_sample(const Environment& env,
-                                          const sim::SampleSpec& spec,
-                                          const core::ScoringConfig& config) {
-  return run_ransomware_sample_filtered(env, spec, config, nullptr);
-}
+namespace {
 
-RansomwareRunResult run_ransomware_sample_filtered(
-    const Environment& env, const sim::SampleSpec& spec,
-    const core::ScoringConfig& config, vfs::Filter* below_engine,
-    const obs::TraceOptions& trace) {
-  core::MonitorSession session(env.base_fs, config, trace);
+/// Runs one trial: a MonitorSession over a clone of `env.base_fs` with
+/// `filters` (nulls skipped) and then the plan's fault filter stacked
+/// below the engine, top to bottom. `act(fs, pid, result)` runs the
+/// actor spawned as `actor`; the fields both result kinds share are
+/// filled in afterwards.
+template <typename Result, typename Act>
+Result run_trial(const Environment& env, const RunPlan& plan, std::uint64_t fault_seed,
+                 std::initializer_list<vfs::Filter*> filters, const std::string& actor,
+                 Act&& act) {
+  core::MonitorSession session(env.base_fs, plan.config, plan.trace);
   vfs::FileSystem& fs = session.fs();
-  vfs::RecordingFilter recorder;
-  fs.attach_filter(&recorder);
-  // Stack order: engine, recorder, then the caller's filter — lowest.
-  // A fault injected there fails the op before it reaches the volume,
-  // and both the engine and the recorder observe the failed outcome in
-  // their post callbacks.
-  if (below_engine != nullptr) fs.attach_filter(below_engine);
+  std::optional<vfs::FaultInjectionFilter> faults;
+  if (plan.faults) faults.emplace(plan.faults->plan.reseeded(fault_seed));
+  std::vector<vfs::Filter*> stack;
+  for (vfs::Filter* filter : filters) {
+    if (filter != nullptr) stack.push_back(filter);
+  }
+  if (faults) stack.push_back(&*faults);
+  for (vfs::Filter* filter : stack) fs.attach_filter(filter);
 
-  const vfs::ProcessId pid = session.spawn(spec.family);
-  sim::RansomwareSample sample(spec.profile, spec.seed);
-
-  RansomwareRunResult result;
-  result.family = spec.family;
-  result.behavior = spec.behavior;
-  result.sample = sample.run(fs, pid, env.corpus.root);
-  result.files_lost = corpus::count_files_lost(fs, env.corpus);
+  const vfs::ProcessId pid = session.spawn(actor);
+  Result result;
+  act(fs, pid, result);
   const core::EngineSnapshot snap = session.snapshot();
   result.report = snap.report_for(pid);
   result.scoreboard = snap;
   for (vfs::ProcessId p = 1; p <= fs.process_count(); ++p) {
-    result.roster.push_back({p, std::string(fs.process_name(p)),
-                             fs.process_parent(p)});
+    result.roster.push_back({p, std::string(fs.process_name(p)), fs.process_parent(p)});
   }
   result.metrics = snap.metrics;
-  // With family scoring, the root's report covers spawned workers; when
-  // an ablation disables it, a run halted by denials still counts as
-  // detected (every worker was individually flagged).
-  result.detected = result.report.suspended ||
-                    (!result.sample.ran_to_completion && result.sample.ops_denied > 0);
   result.final_score = result.report.score;
   result.union_triggered = result.report.union_triggered;
-  result.union_count = result.report.union_count;
 
-  for (const std::string& dir : recorder.directories_touched_by(pid)) {
-    if (vfs::path_is_under(dir, env.corpus.root)) result.directories_touched.insert(dir);
+  for (auto it = stack.rbegin(); it != stack.rend(); ++it) fs.detach_filter(*it);
+  result.trace = session.trace_snapshot();
+  if (faults) result.metrics.merge(faults->metrics_snapshot());
+  return result;
+}
+
+}  // namespace
+
+RansomwareRunResult run_sample(const Environment& env, const sim::SampleSpec& spec,
+                               const RunPlan& plan, vfs::Filter* below_engine) {
+  sim::RansomwareProfile profile = spec.profile;
+  if (plan.faults) {
+    profile.give_up_after_denials =
+        std::max<std::size_t>(plan.faults->sample_give_up_after_denials, 1);
   }
-  // Extensions of *corpus* files the sample touched. Figure 5 reflects
-  // "the first files attacked by each sample", so the sample's own
-  // artifacts — ransom notes, .encrypted outputs — must not count;
-  // membership in the pristine manifest is the filter.
+  // Successful ops only, metadata only: the source of Figures 4 and 5.
+  vfs::TraceRecorder recorder(/*capture_content=*/false);
+  vfs::ProcessId pid = 0;
+  auto result = run_trial<RansomwareRunResult>(
+      env, plan, spec.seed, {&recorder, below_engine}, spec.family,
+      [&](vfs::FileSystem& fs, vfs::ProcessId sample_pid, RansomwareRunResult& r) {
+        pid = sample_pid;
+        sim::RansomwareSample sample(std::move(profile), spec.seed);
+        r.sample = sample.run(fs, pid, env.corpus.root);
+        r.files_lost = corpus::count_files_lost(fs, env.corpus);
+      });
+  result.family = spec.family;
+  result.behavior = spec.behavior;
+  result.union_count = result.report.union_count;
+  // With family scoring, the root's report covers spawned workers; when
+  // an ablation disables it, a run halted by denials still counts as
+  // detected (every worker was individually flagged). Not under faults:
+  // there an injected denial halts a sample just as a suspension does,
+  // and only the engine's own verdict counts.
+  result.detected = result.report.suspended ||
+                    (!plan.faults && !result.sample.ran_to_completion &&
+                     result.sample.ops_denied > 0);
+
+  // Figure 4: parent directories (under the corpus root) of every file
+  // the sample read, wrote, removed or renamed — a rename's destination
+  // included. Figure 5: extensions of the *corpus* files among them.
+  // Figure 5 reflects "the first files attacked by each sample", so the
+  // sample's own artifacts — ransom notes, .encrypted outputs — must not
+  // count; membership in the pristine manifest is the filter.
   std::set<std::string> corpus_paths;
   for (const corpus::ManifestEntry& entry : env.corpus.manifest) {
     corpus_paths.insert(entry.path);
   }
-  for (const vfs::RecordedOp& op : recorder.ops()) {
-    if (op.pid != pid || !op.succeeded) continue;
-    if (op.op != vfs::OpType::read && op.op != vfs::OpType::write &&
-        op.op != vfs::OpType::rename && op.op != vfs::OpType::remove) {
-      continue;
+  std::set<std::string> dirs;
+  for (const vfs::TraceEntry& op : recorder.entries()) {
+    if (op.pid != pid) continue;
+    switch (op.op) {
+      case vfs::OpType::rename:
+        dirs.insert(vfs::path_parent(op.dest_path));
+        [[fallthrough]];
+      case vfs::OpType::read:
+      case vfs::OpType::write:
+      case vfs::OpType::remove:
+        dirs.insert(vfs::path_parent(op.path));
+        break;
+      default:
+        continue;
     }
     if (!corpus_paths.contains(op.path)) continue;
     const std::string ext = vfs::path_extension(op.path);
     if (!ext.empty()) result.extensions_accessed.insert(ext);
   }
-
-  if (below_engine != nullptr) fs.detach_filter(below_engine);
-  fs.detach_filter(&recorder);
-  result.trace = session.trace_snapshot();
+  for (const std::string& dir : dirs) {
+    if (vfs::path_is_under(dir, env.corpus.root)) result.directories_touched.insert(dir);
+  }
   return result;
 }
 
-std::vector<RansomwareRunResult> run_campaign(
-    const Environment& env, const std::vector<sim::SampleSpec>& specs,
-    const core::ScoringConfig& config,
-    const std::function<void(std::size_t, std::size_t)>& progress) {
-  std::vector<RansomwareRunResult> results;
-  results.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    results.push_back(run_ransomware_sample(env, specs[i], config));
-    if (progress) progress(i + 1, specs.size());
-  }
-  return results;
-}
-
-BenignRunResult run_benign_workload(const Environment& env,
-                                    const sim::BenignWorkload& workload,
-                                    const core::ScoringConfig& config,
-                                    std::uint64_t seed) {
-  return run_benign_workload_filtered(env, workload, config, seed, nullptr);
-}
-
-BenignRunResult run_benign_workload_filtered(
-    const Environment& env, const sim::BenignWorkload& workload,
-    const core::ScoringConfig& config, std::uint64_t seed,
-    vfs::Filter* below_engine, const obs::TraceOptions& trace) {
-  core::MonitorSession session(env.base_fs, config, trace);
-  if (below_engine != nullptr) session.fs().attach_filter(below_engine);
-
-  const vfs::ProcessId pid = session.spawn(workload.name);
-  sim::WorkloadContext ctx{session.fs(), pid, env.corpus.root, Rng(seed)};
-  workload.run(ctx);
-
-  BenignRunResult result;
+BenignRunResult run_workload(const Environment& env, const sim::BenignWorkload& workload,
+                             std::uint64_t seed, const RunPlan& plan,
+                             vfs::Filter* below_engine) {
+  auto result = run_trial<BenignRunResult>(
+      env, plan, seed_from_string(workload.name) + seed, {below_engine}, workload.name,
+      [&](vfs::FileSystem& fs, vfs::ProcessId pid, BenignRunResult&) {
+        sim::WorkloadContext ctx{fs, pid, env.corpus.root, Rng(seed)};
+        workload.run(ctx);
+      });
   result.app = workload.name;
   result.expected_false_positive = workload.expected_false_positive;
-  const core::EngineSnapshot snap = session.snapshot();
-  result.report = snap.report_for(pid);
-  result.scoreboard = snap;
-  for (vfs::ProcessId p = 1; p <= session.fs().process_count(); ++p) {
-    result.roster.push_back({p, std::string(session.fs().process_name(p)),
-                             session.fs().process_parent(p)});
-  }
-  result.metrics = snap.metrics;
   result.detected = result.report.suspended;
-  result.final_score = result.report.score;
-  result.union_triggered = result.report.union_triggered;
-  if (below_engine != nullptr) session.fs().detach_filter(below_engine);
-  result.trace = session.trace_snapshot();
   return result;
 }
 

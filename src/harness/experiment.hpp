@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "sim/benign/benign.hpp"
 #include "sim/ransomware/families.hpp"
 #include "sim/ransomware/ransomware.hpp"
+#include "vfs/fault_filter.hpp"
 #include "vfs/filesystem.hpp"
 
 namespace cryptodrop::harness {
@@ -47,6 +49,37 @@ struct ProcessRosterEntry {
   vfs::ProcessId parent = 0;  ///< 0 = no parent.
 };
 
+/// Knobs of a chaos run: every trial replays over its own
+/// FaultInjectionFilter. Plain value type.
+struct FaultCampaignOptions {
+  /// Base fault schedule. A sample runs under plan.reseeded(spec.seed), a
+  /// benign workload under plan.reseeded(<hash of its name> + suite seed),
+  /// so the faults a trial sees do not depend on trial order and a
+  /// parallel chaos campaign is bit-identical to the serial one.
+  vfs::FaultPlan plan;
+  /// Samples tolerate this many consecutive denied attacks before
+  /// giving up (RansomwareProfile::give_up_after_denials override).
+  /// Under spurious injected denials a first-denial quitter would stop
+  /// with near-zero files lost on its own — masking the detector — so
+  /// chaos samples are configured more stubborn than the default 1.
+  std::size_t sample_give_up_after_denials = 4;
+};
+
+/// What every trial of a run shares. Plain value type; `RunPlan{config}`
+/// is a plain, fault-free, untraced run.
+struct RunPlan {
+  core::ScoringConfig config{};
+  /// Set = a chaos run: per-trial fault filter below the engine, the
+  /// campaign's give-up override on samples, the filter's
+  /// faults_injected_total counters merged into each result's metrics,
+  /// and `detected` judged by engine suspension alone (an injected
+  /// denial halts a sample just as a suspension would).
+  std::optional<FaultCampaignOptions> faults{};
+  /// Span tracing per trial. The deterministic span-id scheme makes the
+  /// merged trace of a campaign identical at any job count.
+  obs::TraceOptions trace{};
+};
+
 /// Outcome of one ransomware sample vs. CryptoDrop.
 struct RansomwareRunResult {
   std::string family;
@@ -72,38 +105,28 @@ struct RansomwareRunResult {
   /// given enabled TraceOptions). Export with harness::trace_report.
   obs::SpanSnapshot trace;
   sim::SampleRun sample;
-  /// Directories (under the corpus root) where the sample read or wrote
-  /// at least one file before being stopped — Figure 4's shading.
+  /// Directories (under the corpus root) holding a file the sample read,
+  /// wrote, removed or renamed — either end of a rename — in an operation
+  /// that succeeded — Figure 4's shading.
   std::set<std::string> directories_touched;
-  /// Distinct extensions of corpus files the sample accessed — Figure 5.
+  /// Distinct extensions of the corpus files among those (the sample's
+  /// own notes and outputs excluded) — Figure 5.
   std::set<std::string> extensions_accessed;
 };
 
 /// Runs one ransomware sample in a fresh MonitorSession over a pristine
-/// clone of `env.base_fs` and reports the outcome. Deterministic in the
-/// spec's seed.
-RansomwareRunResult run_ransomware_sample(const Environment& env,
-                                          const sim::SampleSpec& spec,
-                                          const core::ScoringConfig& config);
-
-/// run_ransomware_sample() with an extra filter stacked *below* the
-/// engine (attached after it, nearer the volume) for the trial — the
-/// slot a FaultInjectionFilter occupies in a chaos run. `below_engine`
-/// may be null (plain run); it is attached before the sample starts and
-/// detached before returning, so one caller-owned filter serves exactly
-/// one trial. When `trace.enabled`, the trial session records spans and
-/// the result's `trace` carries the snapshot.
-RansomwareRunResult run_ransomware_sample_filtered(
-    const Environment& env, const sim::SampleSpec& spec,
-    const core::ScoringConfig& config, vfs::Filter* below_engine,
-    const obs::TraceOptions& trace = {});
-
-/// Runs the full Table-I campaign (all `specs`) and returns per-sample
-/// results. `progress` (nullable) is invoked after each sample.
-std::vector<RansomwareRunResult> run_campaign(
-    const Environment& env, const std::vector<sim::SampleSpec>& specs,
-    const core::ScoringConfig& config,
-    const std::function<void(std::size_t, std::size_t)>& progress = {});
+/// clone of `env.base_fs` and reports the outcome. Deterministic in
+/// (spec.seed, plan).
+///
+/// `below_engine` (nullable, caller-owned) is stacked below the engine
+/// for this trial only — attached before the sample starts, detached
+/// before returning. With `plan.faults`, the plan's per-trial fault
+/// filter sits lower still, nearest the volume, so filters above it
+/// observe the failed outcome of every injected fault. When
+/// `plan.trace.enabled`, the result's `trace` carries the trial's spans.
+RansomwareRunResult run_sample(const Environment& env, const sim::SampleSpec& spec,
+                               const RunPlan& plan,
+                               vfs::Filter* below_engine = nullptr);
 
 /// Outcome of one benign workload vs. CryptoDrop.
 struct BenignRunResult {
@@ -125,19 +148,31 @@ struct BenignRunResult {
 };
 
 /// Runs one benign workload in a fresh MonitorSession; deterministic in
-/// `seed`.
-BenignRunResult run_benign_workload(const Environment& env,
-                                    const sim::BenignWorkload& workload,
-                                    const core::ScoringConfig& config,
-                                    std::uint64_t seed);
+/// (workload.name, seed, plan). The filter stack is run_sample()'s. A
+/// benign app does not retry, so an injected denial may end it early;
+/// `detected` still means engine suspension.
+BenignRunResult run_workload(const Environment& env, const sim::BenignWorkload& workload,
+                             std::uint64_t seed, const RunPlan& plan,
+                             vfs::Filter* below_engine = nullptr);
 
-/// run_benign_workload() with an extra filter stacked below the engine
-/// for the trial (see run_ransomware_sample_filtered) and optional span
-/// tracing.
-BenignRunResult run_benign_workload_filtered(
+// The pre-RunPlan names of the two per-trial runs, kept only for the
+// replay benchmark (perfbench/src/inputs.cpp): perfbench/ must build
+// unchanged against every commit it compares, so these stay until the
+// next change to the benchmark. No other caller may use them.
+
+/// run_sample(env, spec, RunPlan{config}, below_engine); perfbench only.
+inline RansomwareRunResult run_ransomware_sample_filtered(
+    const Environment& env, const sim::SampleSpec& spec,
+    const core::ScoringConfig& config, vfs::Filter* below_engine) {
+  return run_sample(env, spec, RunPlan{config}, below_engine);
+}
+/// run_workload(env, workload, seed, RunPlan{config}, below_engine);
+/// perfbench only.
+inline BenignRunResult run_benign_workload_filtered(
     const Environment& env, const sim::BenignWorkload& workload,
-    const core::ScoringConfig& config, std::uint64_t seed,
-    vfs::Filter* below_engine, const obs::TraceOptions& trace = {});
+    const core::ScoringConfig& config, std::uint64_t seed, vfs::Filter* below_engine) {
+  return run_workload(env, workload, seed, RunPlan{config}, below_engine);
+}
 
 // --- aggregation helpers (the numbers the paper reports) ---------------
 

@@ -68,8 +68,9 @@ void parallel_for(std::size_t count, const RunnerOptions& options,
 
 namespace {
 
-void validate_or_throw(const core::ScoringConfig& config, const char* what) {
-  const Status valid = config.validate();
+void validate_or_throw(const RunPlan& plan, const char* what) {
+  Status valid = plan.config.validate();
+  if (valid.is_ok() && plan.faults) valid = plan.faults->plan.validate();
   if (!valid.is_ok()) {
     throw std::invalid_argument(std::string(what) + ": " + valid.to_string());
   }
@@ -77,27 +78,24 @@ void validate_or_throw(const core::ScoringConfig& config, const char* what) {
 
 }  // namespace
 
-std::vector<RansomwareRunResult> run_campaign_parallel(
-    const Environment& env, const std::vector<sim::SampleSpec>& specs,
-    const core::ScoringConfig& config, const RunnerOptions& options) {
-  validate_or_throw(config, "campaign config");
+std::vector<RansomwareRunResult> run_campaign(const Environment& env,
+                                              const std::vector<sim::SampleSpec>& specs,
+                                              const RunPlan& plan,
+                                              const RunnerOptions& options) {
+  validate_or_throw(plan, "campaign plan");
   std::vector<RansomwareRunResult> results(specs.size());
-  parallel_for(specs.size(), options, [&](std::size_t i) {
-    results[i] =
-        run_ransomware_sample_filtered(env, specs[i], config, nullptr, options.trace);
-  });
+  parallel_for(specs.size(), options,
+               [&](std::size_t i) { results[i] = run_sample(env, specs[i], plan); });
   return results;
 }
 
-std::vector<BenignRunResult> run_benign_suite_parallel(
+std::vector<BenignRunResult> run_benign_suite(
     const Environment& env, const std::vector<sim::BenignWorkload>& workloads,
-    const core::ScoringConfig& config, std::uint64_t seed,
-    const RunnerOptions& options) {
-  validate_or_throw(config, "benign-suite config");
+    std::uint64_t seed, const RunPlan& plan, const RunnerOptions& options) {
+  validate_or_throw(plan, "benign-suite plan");
   std::vector<BenignRunResult> results(workloads.size());
   parallel_for(workloads.size(), options, [&](std::size_t i) {
-    results[i] = run_benign_workload_filtered(env, workloads[i], config, seed,
-                                              nullptr, options.trace);
+    results[i] = run_workload(env, workloads[i], seed, plan);
   });
   return results;
 }

@@ -22,19 +22,14 @@
 
 namespace cryptodrop::harness {
 
-/// Knobs for the parallel trial runner (shared by every *_parallel entry
-/// point). Plain value type.
+/// Knobs for the parallel trial runner: how trials are scheduled, never
+/// what they compute (that is the RunPlan). Plain value type.
 struct RunnerOptions {
   /// Worker threads; 0 means one per hardware thread.
   std::size_t jobs = 0;
   /// Invoked after each finished trial with (finished, total). Calls are
   /// serialized, but trials finish out of submission order.
   std::function<void(std::size_t, std::size_t)> progress;
-  /// Span-tracing knobs for every trial the runner launches. Disabled by
-  /// default; when enabled each trial's result carries its own
-  /// SpanSnapshot, and the deterministic span-id scheme makes the merged
-  /// trace identical at any job count (span_test.cpp asserts this).
-  obs::TraceOptions trace;
 };
 
 /// Resolves a requested job count: 0 → std::thread::hardware_concurrency()
@@ -48,19 +43,20 @@ std::size_t effective_jobs(std::size_t requested);
 void parallel_for(std::size_t count, const RunnerOptions& options,
                   const std::function<void(std::size_t)>& body);
 
-/// run_campaign, on the pool: one sample trial per spec, results in spec
-/// order. Throws std::invalid_argument when `config` does not validate
-/// (before any thread is spawned).
-std::vector<RansomwareRunResult> run_campaign_parallel(
-    const Environment& env, const std::vector<sim::SampleSpec>& specs,
-    const core::ScoringConfig& config, const RunnerOptions& options = {});
+/// The Table-I campaign: one run_sample() trial per spec on the pool,
+/// results in spec order, bit-identical at any job count. Throws
+/// std::invalid_argument when `plan.config` or `plan.faults->plan` does
+/// not validate, before any trial runs.
+std::vector<RansomwareRunResult> run_campaign(const Environment& env,
+                                              const std::vector<sim::SampleSpec>& specs,
+                                              const RunPlan& plan,
+                                              const RunnerOptions& options = {});
 
-/// The benign suite, on the pool: one trial per workload (all with the
-/// same `seed`, like the serial loops in the benches), results in
-/// workload order. Validates `config` up front.
-std::vector<BenignRunResult> run_benign_suite_parallel(
+/// The benign suite: one run_workload() trial per workload (all with the
+/// same `seed`) on the pool, results in workload order. Validates like
+/// run_campaign().
+std::vector<BenignRunResult> run_benign_suite(
     const Environment& env, const std::vector<sim::BenignWorkload>& workloads,
-    const core::ScoringConfig& config, std::uint64_t seed,
-    const RunnerOptions& options = {});
+    std::uint64_t seed, const RunPlan& plan, const RunnerOptions& options = {});
 
 }  // namespace cryptodrop::harness

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 
 namespace cryptodrop::obs {
@@ -147,8 +148,14 @@ Result<std::vector<TraceEvent>> parse_trace_events(std::string_view text) {
     const std::string phase = item.string_or("ph", "");
     if (!phase.empty()) ev.phase = phase[0];
     ev.ts = item.number_or("ts", 0.0);
-    ev.pid = static_cast<std::int64_t>(item.number_or("pid", 0.0));
-    ev.tid = static_cast<std::int64_t>(item.number_or("tid", 0.0));
+    const std::optional<std::int64_t> pid = item.integer_or<std::int64_t>("pid", 0);
+    const std::optional<std::int64_t> tid = item.integer_or<std::int64_t>("tid", 0);
+    if (!pid || !tid) {
+      return Status(Errc::invalid_argument,
+                    "trace event pid/tid is not a whole number in range");
+    }
+    ev.pid = *pid;
+    ev.tid = *tid;
     if (const Json* args = item.find("args"); args != nullptr) {
       for (const auto& [key, value] : args->fields()) {
         ev.args.emplace_back(key, scalar_to_display(value));

@@ -187,8 +187,8 @@ TEST(BaselineComparison, TripwireIsNoisyWhereCryptoDropIsQuiet) {
     tripwire_alerts = monitor.alert_count();
     fs.detach_filter(&monitor);
   }
-  const auto cryptodrop = harness::run_benign_workload(
-      env, sim::benign_workload("Microsoft Word"), core::ScoringConfig{}, 5);
+  const auto cryptodrop =
+      harness::run_workload(env, sim::benign_workload("Microsoft Word"), 5, {});
   EXPECT_GT(tripwire_alerts, 0u);       // every save is an "intrusion"
   EXPECT_EQ(cryptodrop.final_score, 0); // CryptoDrop: nothing suspicious
 }

@@ -29,7 +29,7 @@ class BenignTest : public ::testing::Test {
 
   harness::BenignRunResult run(const std::string& name,
                                core::ScoringConfig config = {}) {
-    return harness::run_benign_workload(*env, benign_workload(name), config, 11);
+    return harness::run_workload(*env, benign_workload(name), 11, {config});
   }
 };
 

@@ -9,7 +9,6 @@
 #include "common/stats.hpp"
 #include "common/text.hpp"
 #include "core/engine.hpp"
-#include "harness/chaos.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "sim/benign/benign.hpp"
@@ -51,10 +50,12 @@ class ChaosTest : public ::testing::Test {
     return picked;
   }
 
-  static FaultCampaignOptions chaos_options() {
-    FaultCampaignOptions options;
-    options.plan = vfs::FaultPlan::uniform(kFaultRate, kFaultSeed);
-    return options;
+  /// The paper's scoring over a uniformly faulted volume.
+  static RunPlan chaos_plan() {
+    RunPlan plan;
+    plan.faults.emplace();
+    plan.faults->plan = vfs::FaultPlan::uniform(kFaultRate, kFaultSeed);
+    return plan;
   }
 };
 
@@ -70,8 +71,7 @@ std::uint64_t total_faults(const obs::MetricsSnapshot& snap) {
 
 TEST_F(ChaosTest, ZooKeepsFullTPRUnderFaults) {
   const auto specs = zoo_subset(10);
-  const auto results =
-      run_campaign_faulted(*env, specs, core::ScoringConfig{}, chaos_options());
+  const auto results = run_campaign(*env, specs, chaos_plan());
   ASSERT_EQ(results.size(), specs.size());
   std::size_t detected = 0;
   for (const auto& r : results) {
@@ -89,10 +89,8 @@ TEST_F(ChaosTest, ZooKeepsFullTPRUnderFaults) {
 
 TEST_F(ChaosTest, FilesLostStaysComparableToFaultFree) {
   const auto specs = zoo_subset(10);
-  const core::ScoringConfig config;
-  const auto faulted =
-      run_campaign_faulted(*env, specs, config, chaos_options());
-  const auto clean = run_campaign_parallel(*env, specs, config);
+  const auto faulted = run_campaign(*env, specs, chaos_plan());
+  const auto clean = run_campaign(*env, specs, {});
   const double faulted_median = median(files_lost_values(faulted));
   const double clean_median = median(files_lost_values(clean));
   // Faults can nudge loss both ways (failed encryption writes lose
@@ -104,10 +102,8 @@ TEST_F(ChaosTest, FilesLostStaysComparableToFaultFree) {
 
 TEST_F(ChaosTest, BenignSuiteAddsNoNewFalsePositives) {
   const auto workloads = sim::all_benign_workloads();
-  const core::ScoringConfig config;
-  const auto faulted =
-      run_benign_suite_faulted(*env, workloads, config, 9, chaos_options());
-  const auto clean = run_benign_suite_parallel(*env, workloads, config, 9);
+  const auto faulted = run_benign_suite(*env, workloads, 9, chaos_plan());
+  const auto clean = run_benign_suite(*env, workloads, 9, {});
   ASSERT_EQ(faulted.size(), clean.size());
   for (std::size_t i = 0; i < faulted.size(); ++i) {
     EXPECT_EQ(faulted[i].app, clean[i].app);
@@ -120,15 +116,12 @@ TEST_F(ChaosTest, BenignSuiteAddsNoNewFalsePositives) {
 
 TEST_F(ChaosTest, CampaignIsBitIdenticalAcrossJobCounts) {
   const auto specs = zoo_subset(8);
-  const core::ScoringConfig config;
   RunnerOptions serial;
   serial.jobs = 1;
   RunnerOptions parallel;
   parallel.jobs = 3;
-  const auto r1 =
-      run_campaign_faulted(*env, specs, config, chaos_options(), serial);
-  const auto r3 =
-      run_campaign_faulted(*env, specs, config, chaos_options(), parallel);
+  const auto r1 = run_campaign(*env, specs, chaos_plan(), serial);
+  const auto r3 = run_campaign(*env, specs, chaos_plan(), parallel);
   ASSERT_EQ(r1.size(), r3.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     EXPECT_EQ(r1[i].detected, r3[i].detected) << i;
@@ -152,15 +145,12 @@ TEST_F(ChaosTest, CampaignIsBitIdenticalAcrossJobCounts) {
 
 TEST_F(ChaosTest, BenignSuiteIsBitIdenticalAcrossJobCounts) {
   const auto workloads = sim::all_benign_workloads();
-  const core::ScoringConfig config;
   RunnerOptions serial;
   serial.jobs = 1;
   RunnerOptions parallel;
   parallel.jobs = 3;
-  const auto r1 =
-      run_benign_suite_faulted(*env, workloads, config, 9, chaos_options(), serial);
-  const auto r3 =
-      run_benign_suite_faulted(*env, workloads, config, 9, chaos_options(), parallel);
+  const auto r1 = run_benign_suite(*env, workloads, 9, chaos_plan(), serial);
+  const auto r3 = run_benign_suite(*env, workloads, 9, chaos_plan(), parallel);
   ASSERT_EQ(r1.size(), r3.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     EXPECT_EQ(r1[i].detected, r3[i].detected) << r1[i].app;
@@ -293,13 +283,11 @@ TEST_F(ChaosTest, DigestCachePinSurvivesWriteAfterEngineIsGone) {
 }
 
 TEST_F(ChaosTest, InvalidPlanIsRejectedBeforeAnyTrialRuns) {
-  FaultCampaignOptions options;
-  options.plan.write.io_error = 7.0;
-  EXPECT_THROW(run_campaign_faulted(*env, zoo_subset(2), core::ScoringConfig{},
-                                    options),
-               std::invalid_argument);
-  EXPECT_THROW(run_benign_suite_faulted(*env, sim::all_benign_workloads(),
-                                        core::ScoringConfig{}, 9, options),
+  RunPlan plan;
+  plan.faults.emplace();
+  plan.faults->plan.write.io_error = 7.0;
+  EXPECT_THROW(run_campaign(*env, zoo_subset(2), plan), std::invalid_argument);
+  EXPECT_THROW(run_benign_suite(*env, sim::all_benign_workloads(), 9, plan),
                std::invalid_argument);
 }
 

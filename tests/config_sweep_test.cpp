@@ -114,25 +114,24 @@ class ConfigSweepTest : public ::testing::TestWithParam<ConfigCase> {
       if (param.primaries() >= 2) {
         auto* slot = &(*class_a)[key];
         trials.push_back([slot, param] {
-          *slot = harness::run_ransomware_sample(*env, class_a_spec(),
-                                                 param.to_config());
+          *slot = harness::run_sample(*env, class_a_spec(), {param.to_config()});
         });
       }
       auto* benign_slot = &(*benign)[key];
       trials.push_back([benign_slot, param] {
-        *benign_slot = harness::run_benign_workload(
-            *env, sim::benign_workload("Microsoft Word"), param.to_config(), 5);
+        *benign_slot = harness::run_workload(*env, sim::benign_workload("Microsoft Word"),
+                                             5, {param.to_config()});
       });
       auto* pair = &(*monotone)[key];
       trials.push_back([pair, param] {
         core::ScoringConfig base = param.to_config();
         base.score_threshold = 1 << 30;
         base.union_threshold = 1 << 30;
-        pair->with = harness::run_ransomware_sample(*env, class_c_prefix_spec(), base);
+        pair->with = harness::run_sample(*env, class_c_prefix_spec(), {base});
         core::ScoringConfig stripped = base;
         stripped.enable_deletion = false;
         pair->without =
-            harness::run_ransomware_sample(*env, class_c_prefix_spec(), stripped);
+            harness::run_sample(*env, class_c_prefix_spec(), {stripped});
       });
     }
 

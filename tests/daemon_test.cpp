@@ -80,6 +80,20 @@ class StreamClient {
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
+  /// Sends `bytes` as they are (no newline added). MSG_NOSIGNAL: a
+  /// server that closed early is an error return, not a SIGPIPE.
+  bool send_raw(const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
   bool send_line(const std::string& line) {
     const std::string framed = line + "\n";
     return ::write(fd_, framed.data(), framed.size()) ==
@@ -269,8 +283,7 @@ class DaemonTest : public ::testing::Test {
   static Recorded record_sample(const sim::SampleSpec& spec) {
     vfs::TraceRecorder recorder(/*capture_content=*/true);
     Recorded recorded;
-    recorded.result = harness::run_ransomware_sample_filtered(
-        *env, spec, core::ScoringConfig{}, &recorder);
+    recorded.result = harness::run_sample(*env, spec, {}, &recorder);
     recorded.entries = recorder.entries();
     return recorded;
   }
@@ -691,6 +704,53 @@ TEST_F(DaemonTest, ControlHostileJsonNestingIsOneErrorLine) {
   daemon.shutdown(/*drain_first=*/true);
 }
 
+TEST_F(DaemonTest, ControlOutOfRangeNumbersAreOneInvalidArgumentLine) {
+  // Numbers the control API converts to integers: each bad value is one
+  // invalid_argument envelope and one counted error, never an undefined
+  // float-to-integer conversion.
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  ControlDispatcher dispatcher(daemon);
+  ASSERT_EQ(dispatcher.handle_line(R"({"type":"attach","tenant":"t"})"),
+            R"({"ok":true,"tenant":"t"})");
+  // Each request with `@` standing for the bad value; `key` is the field.
+  const std::vector<std::pair<std::string, std::string>> requests = {
+      {"cursor", R"({"type":"events","cursor":@})"},
+      {"max", R"({"type":"events","max":@})"},
+      {"cursor", R"({"type":"watch","cursor":@})"},
+      {"pid", R"({"type":"spawn","tenant":"t","pid":@})"},
+      {"parent", R"({"type":"spawn","tenant":"t","pid":5,"parent":@})"},
+      {"pid", R"({"type":"explain","tenant":"t","pid":@})"},
+      {"score_threshold", R"({"type":"attach","tenant":"u","config":{"score_threshold":@}})"},
+      {"union_threshold", R"({"type":"attach","tenant":"u","config":{"union_threshold":@}})"},
+      {"union_bonus", R"({"type":"attach","tenant":"u","config":{"union_bonus":@}})"},
+  };
+  for (const auto& [key, request] : requests) {
+    // The config overrides are signed: -1 is in range there.
+    const bool is_signed = request.find("config") != std::string::npos;
+    for (const char* value : {is_signed ? "-1e300" : "-1", "0.5", "1e300"}) {
+      std::string line = request;
+      line.replace(line.find('@'), 1, value);
+      const std::uint64_t errors_before =
+          counter_value(daemon, "daemon_control_errors_total");
+      const std::string response = dispatcher.handle_line(line);
+      EXPECT_EQ(response, "{\"ok\":false,\"error\":\"invalid_argument: `" + key +
+                              "` must be a whole number in range\",\"code\":"
+                              "\"invalid_argument\"}")
+          << line;
+      EXPECT_EQ(counter_value(daemon, "daemon_control_errors_total"), errors_before + 1)
+          << line;
+    }
+  }
+  // None of the rejected requests took effect, and in-range values work.
+  EXPECT_TRUE(daemon.attach("u").is_ok());
+  EXPECT_EQ(dispatcher.handle_line(R"({"type":"events","cursor":0,"max":2})")
+                .rfind("{\"ok\":true", 0),
+            0u);
+  EXPECT_EQ(dispatcher.handle_line(R"({"type":"spawn","tenant":"t","pid":5})"),
+            "{\"ok\":true}");
+  daemon.shutdown(/*drain_first=*/true);
+}
+
 TEST_F(DaemonTest, ControlDuplicateJsonKeyFirstMatchWins) {
   Daemon daemon(env->base_fs, small_options(1, 64));
   ControlDispatcher dispatcher(daemon);
@@ -908,6 +968,37 @@ TEST_F(DaemonTest, SocketServerRoundTripAndShutdown) {
   }
   server.wait();  // The serve loop exits once the daemon is down.
   EXPECT_TRUE(daemon.shutdown_complete());
+}
+
+TEST_F(DaemonTest, SocketOverlongLineGetsOneErrorThenClose) {
+  const std::string path =
+      "/tmp/cryptodropd_overlong_" + std::to_string(::getpid()) + ".sock";
+  Daemon daemon(env->base_fs, small_options(1, 64));
+  SocketServer server(daemon, path);
+  ASSERT_TRUE(server.start().is_ok());
+  const std::uint64_t errors_before =
+      counter_value(daemon, "daemon_control_errors_total");
+  {
+    StreamClient client(path);
+    ASSERT_TRUE(client.connected());
+    // One byte over the cap and no newline: the server must not wait
+    // for the rest of the line.
+    ASSERT_TRUE(client.send_raw(std::string(kMaxRequestLineBytes + 1, ' ')));
+    std::string line;
+    ASSERT_TRUE(client.read_line(&line));
+    EXPECT_EQ(line, "{\"ok\":false,\"error\":\"request line exceeds " +
+                        std::to_string(kMaxRequestLineBytes) +
+                        " bytes\",\"code\":\"invalid_argument\"}");
+    EXPECT_FALSE(client.read_line(&line)) << "connection left open: " << line;
+  }
+  EXPECT_EQ(counter_value(daemon, "daemon_control_errors_total"), errors_before + 1);
+  // The server keeps serving other connections.
+  DaemonClient client(path);
+  const Result<std::string> pong = client.request("{\"type\":\"ping\"}");
+  ASSERT_TRUE(pong.is_ok());
+  EXPECT_EQ(pong.value(), "{\"ok\":true,\"pong\":true}");
+  ASSERT_TRUE(client.request("{\"type\":\"shutdown\",\"drain\":true}").is_ok());
+  server.wait();
 }
 
 // --- the watch stream --------------------------------------------------

@@ -262,8 +262,8 @@ TEST(EntropyBackend, EnsembleVoteDeterministicAcrossJobs) {
   serial.jobs = 1;
   harness::RunnerOptions wide;
   wide.jobs = 16;
-  const auto a = harness::run_campaign_parallel(env, specs, config, serial);
-  const auto b = harness::run_campaign_parallel(env, specs, config, wide);
+  const auto a = harness::run_campaign(env, specs, {config}, serial);
+  const auto b = harness::run_campaign(env, specs, {config}, wide);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].detected, b[i].detected) << a[i].family;

@@ -42,13 +42,13 @@ harness::Environment* EvasionTest::env = nullptr;
 TEST_F(EvasionTest, HeaderPreservationSuppressesTypeChange) {
   sim::SampleSpec spec = evader(1);
   spec.profile.evasion.preserve_header_bytes = 16 * 1024;
-  const auto r = harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r = harness::run_sample(*env, spec, {});
   // Magic bytes survive, so the type-change indicator goes nearly silent
   // (small text files can still flip: the appended key blob makes a
   // fully-preserved text file stop looking like text)...
   EXPECT_LE(r.report.type_change_events, 2u);
   const auto baseline =
-      harness::run_ransomware_sample(*env, evader(1), core::ScoringConfig{});
+      harness::run_sample(*env, evader(1), {});
   EXPECT_LT(r.report.type_change_events, baseline.report.type_change_events + 1);
   // ...but similarity and entropy still catch the transformation.
   EXPECT_TRUE(r.detected);
@@ -57,7 +57,7 @@ TEST_F(EvasionTest, HeaderPreservationSuppressesTypeChange) {
 TEST_F(EvasionTest, HeaderPreservationCostsRecoverableData) {
   sim::SampleSpec spec = evader(2);
   spec.profile.evasion.preserve_header_bytes = 16 * 1024;
-  const auto r = harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r = harness::run_sample(*env, spec, {});
   EXPECT_LT(r.sample.bytes_destroyed, r.sample.bytes_touched);
 }
 
@@ -65,9 +65,9 @@ TEST_F(EvasionTest, DecoyWritesSuppressEntropyDelta) {
   sim::SampleSpec spec = evader(3);
   spec.profile.evasion.decoy_writes_per_file = 3;
   spec.profile.evasion.decoy_bytes = 256 * 1024;
-  const auto r = harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r = harness::run_sample(*env, spec, {});
   const auto baseline =
-      harness::run_ransomware_sample(*env, evader(3), core::ScoringConfig{});
+      harness::run_sample(*env, evader(3), {});
   // Heavy prose decoys keep Pwrite near Pread: far fewer entropy events
   // per attacked file than the undisguised run.
   const double evaded_rate =
@@ -84,7 +84,7 @@ TEST_F(EvasionTest, DecoyWritesSuppressEntropyDelta) {
 TEST_F(EvasionTest, PartialEncryptionReducesDestructionAndSignal) {
   sim::SampleSpec spec = evader(4);
   spec.profile.evasion.preserve_fraction = 0.6;
-  const auto r = harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r = harness::run_sample(*env, spec, {});
   // ~60% of every file survives for the victim.
   EXPECT_LT(r.sample.bytes_destroyed, r.sample.bytes_touched / 2);
 }
@@ -97,7 +97,7 @@ TEST_F(EvasionTest, KitchenSinkEvaderStillPaysInData) {
   spec.profile.evasion.preserve_fraction = 0.5;
   spec.profile.evasion.pad_low_entropy_bytes = 64 * 1024;
   spec.profile.evasion.decoy_writes_per_file = 2;
-  const auto r = harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r = harness::run_sample(*env, spec, {});
   const double destroyed = static_cast<double>(r.sample.bytes_destroyed) /
                            static_cast<double>(std::max<std::uint64_t>(r.sample.bytes_touched, 1));
   EXPECT_TRUE(r.detected || destroyed < 0.55)
@@ -109,8 +109,8 @@ TEST_F(EvasionTest, KitchenSinkEvaderStillPaysInData) {
 TEST_F(EvasionTest, FamilyScoringStopsWorkerSplitEvasion) {
   sim::SampleSpec spec = evader(6);
   spec.profile.worker_processes = 8;
-  const auto split = harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
-  const auto solo = harness::run_ransomware_sample(*env, evader(6), core::ScoringConfig{});
+  const auto split = harness::run_sample(*env, spec, {});
+  const auto solo = harness::run_sample(*env, evader(6), {});
   EXPECT_TRUE(split.detected);
   // Splitting across 8 workers buys nothing against family scoring:
   // losses stay in the same small band as the single-process run.
@@ -122,9 +122,9 @@ TEST_F(EvasionTest, WithoutFamilyScoringWorkersMultiplyDamage) {
   spec.profile.worker_processes = 8;
   core::ScoringConfig no_family;
   no_family.enable_family_scoring = false;
-  const auto split = harness::run_ransomware_sample(*env, spec, no_family);
+  const auto split = harness::run_sample(*env, spec, {no_family});
   const auto with_family =
-      harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+      harness::run_sample(*env, spec, {});
   EXPECT_GT(split.files_lost, with_family.files_lost * 3);
 }
 
@@ -211,8 +211,8 @@ TEST_F(EvasionTest, DynamicScoringAcceleratesCtbLocker) {
 
   core::ScoringConfig dynamic;
   dynamic.enable_dynamic_scoring = true;
-  const auto boosted = harness::run_ransomware_sample(*env, ctb, dynamic);
-  const auto stock = harness::run_ransomware_sample(*env, ctb, core::ScoringConfig{});
+  const auto boosted = harness::run_sample(*env, ctb, {dynamic});
+  const auto stock = harness::run_sample(*env, ctb, {});
   EXPECT_TRUE(boosted.detected);
   EXPECT_LT(boosted.files_lost, stock.files_lost);
 }
@@ -224,7 +224,7 @@ TEST_F(EvasionTest, DynamicScoringKeepsBenignSuiteClean) {
   dynamic.enable_dynamic_scoring = true;
   std::size_t false_positives = 0;
   for (const sim::BenignWorkload& workload : sim::all_benign_workloads()) {
-    const auto r = harness::run_benign_workload(*env, workload, dynamic, 11);
+    const auto r = harness::run_workload(*env, workload, 11, {dynamic});
     if (r.detected) {
       ++false_positives;
       EXPECT_TRUE(r.expected_false_positive) << r.app;
@@ -287,7 +287,7 @@ TEST_F(EvasionTest, ShadowCopyDeletionIsIgnoredByTheEngine) {
 // --- destroyed-bytes accounting --------------------------------------------
 
 TEST_F(EvasionTest, BaselineDestroysEverythingItTouches) {
-  const auto r = harness::run_ransomware_sample(*env, evader(12), core::ScoringConfig{});
+  const auto r = harness::run_sample(*env, evader(12), {});
   EXPECT_GT(r.sample.bytes_touched, 0u);
   EXPECT_EQ(r.sample.bytes_destroyed, r.sample.bytes_touched);
 }

@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "core/engine.hpp"
-#include "harness/chaos.hpp"
 #include "harness/runner.hpp"
 #include "sim/benign/benign.hpp"
 #include "vfs/fault_filter.hpp"
@@ -264,10 +263,9 @@ TEST(EntropyFloorSuiteTest, RaisedFloorAddsNoBenignFalsePositives) {
 
   core::ScoringConfig raised;
   raised.entropy.min_score_bytes = 64;
-  const auto defaults = harness::run_benign_suite_parallel(
-      env, workloads, core::ScoringConfig{}, 9);
+  const auto defaults = harness::run_benign_suite(env, workloads, 9, {});
   const auto floored =
-      harness::run_benign_suite_parallel(env, workloads, raised, 9);
+      harness::run_benign_suite(env, workloads, 9, {raised});
   ASSERT_EQ(defaults.size(), floored.size());
   for (std::size_t i = 0; i < floored.size(); ++i) {
     EXPECT_LE(floored[i].final_score, defaults[i].final_score)

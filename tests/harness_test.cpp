@@ -2,7 +2,11 @@
 // runs, aggregation (Table I rows, Figure 3/5 data), and text tables.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 #include "harness/table.hpp"
 
 namespace cryptodrop::harness {
@@ -45,8 +49,7 @@ TEST_F(HarnessTest, EnvironmentMatchesSpec) {
 }
 
 TEST_F(HarnessTest, RunDetectsAndCountsLoss) {
-  const auto r = run_ransomware_sample(*env, spec_for("TeslaCrypt", sim::BehaviorClass::A, 9),
-                                       core::ScoringConfig{});
+  const auto r = run_sample(*env, spec_for("TeslaCrypt", sim::BehaviorClass::A, 9), {});
   EXPECT_TRUE(r.detected);
   EXPECT_GT(r.files_lost, 0u);
   EXPECT_LT(r.files_lost, env->corpus.file_count() / 4);
@@ -55,24 +58,22 @@ TEST_F(HarnessTest, RunDetectsAndCountsLoss) {
 }
 
 TEST_F(HarnessTest, RunLeavesBaseEnvironmentPristine) {
-  (void)run_ransomware_sample(*env, spec_for("Xorist", sim::BehaviorClass::A, 10),
-                              core::ScoringConfig{});
+  (void)run_sample(*env, spec_for("Xorist", sim::BehaviorClass::A, 10), {});
   EXPECT_EQ(corpus::count_files_lost(env->base_fs, env->corpus), 0u);
   EXPECT_EQ(env->base_fs.file_count(), 400u);
 }
 
 TEST_F(HarnessTest, RunsAreIndependentAndDeterministic) {
   const auto spec = spec_for("CryptoWall", sim::BehaviorClass::C, 11);
-  const auto r1 = run_ransomware_sample(*env, spec, core::ScoringConfig{});
-  const auto r2 = run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r1 = run_sample(*env, spec, {});
+  const auto r2 = run_sample(*env, spec, {});
   EXPECT_EQ(r1.files_lost, r2.files_lost);
   EXPECT_EQ(r1.final_score, r2.final_score);
   EXPECT_EQ(r1.union_triggered, r2.union_triggered);
 }
 
 TEST_F(HarnessTest, DirectoriesTouchedAreUnderRoot) {
-  const auto r = run_ransomware_sample(*env, spec_for("GPcode", sim::BehaviorClass::A, 12),
-                                       core::ScoringConfig{});
+  const auto r = run_sample(*env, spec_for("GPcode", sim::BehaviorClass::A, 12), {});
   EXPECT_FALSE(r.directories_touched.empty());
   for (const std::string& dir : r.directories_touched) {
     EXPECT_TRUE(vfs::path_is_under(dir, env->corpus.root)) << dir;
@@ -80,14 +81,57 @@ TEST_F(HarnessTest, DirectoriesTouchedAreUnderRoot) {
 }
 
 TEST_F(HarnessTest, ExtensionsAccessedAreCorpusExtensions) {
-  const auto r = run_ransomware_sample(
-      *env, spec_for("TeslaCrypt", sim::BehaviorClass::A, 13), core::ScoringConfig{});
+  const auto r = run_sample(*env, spec_for("TeslaCrypt", sim::BehaviorClass::A, 13), {});
   EXPECT_FALSE(r.extensions_accessed.empty());
   // Artifact extensions (.vvv, note .txt is a corpus ext though) must be
   // filtered to the corpus mix.
   for (const std::string& ext : r.extensions_accessed) {
     EXPECT_NE(ext, "vvv");
   }
+}
+
+// Figures 4 and 5 pinned on one small, fully known run. The sample is
+// Class B: it renames each target out of the documents tree into a
+// staging directory, encrypts the staged copy there and renames it back,
+// so a target's only in-tree operations are the two renames — the first
+// one's source and the second one's destination — and every read and
+// write lands outside the root. It drops a .txt ransom note in each
+// directory before attacking there. Suspension comes on the fifth
+// rename back; the sample's next operation, the note drop in
+// documents/dysyrhgsc, is denied and gives up.
+TEST(HarnessStatistics, FiguresFourAndFiveCountRenamesButNotNotesOrDeniedOps) {
+  corpus::CorpusSpec corpus;
+  corpus.total_files = 60;
+  corpus.total_dirs = 8;
+  corpus.compute_hashes = false;
+  const Environment env = make_environment(corpus, 123);
+  sim::SampleSpec spec;
+  spec.family = "Filecoder";
+  spec.behavior = sim::BehaviorClass::B;
+  spec.profile = sim::family_profile("Filecoder", sim::BehaviorClass::B);
+  spec.profile.behavior = sim::BehaviorClass::B;
+  spec.profile.note_first = true;
+  spec.seed = 5;
+
+  const RansomwareRunResult r = run_sample(env, spec, {});
+  ASSERT_TRUE(r.detected);
+  EXPECT_EQ(r.sample.ops_denied, 1u);
+  EXPECT_EQ(r.sample.files_completed, r.sample.files_attacked);
+  EXPECT_EQ(r.sample.files_attacked, 5u);
+
+  // Parents of rename sources and destinations under the root. Not the
+  // staging directory (outside the root), and not documents/dysyrhgsc:
+  // the only operation there was denied.
+  const std::string root = env.corpus.root;
+  EXPECT_EQ(r.directories_touched,
+            (std::set<std::string>{root, root + "/dysyrhgsc/jtpd/hhe",
+                                   root + "/dysyrhgsc/soxmardf",
+                                   root + "/dysyrhgsc/vlfw"}));
+  // Extensions of the renamed corpus files. No "txt" — a corpus
+  // extension — although a .txt note landed in every directory: notes
+  // are not in the pristine manifest.
+  EXPECT_EQ(r.extensions_accessed,
+            (std::set<std::string>{"doc", "docx", "gif", "xlsx"}));
 }
 
 TEST_F(HarnessTest, CampaignRunsAllSpecsWithProgress) {
@@ -97,11 +141,13 @@ TEST_F(HarnessTest, CampaignRunsAllSpecsWithProgress) {
       spec_for("CTB-Locker", sim::BehaviorClass::B, 22),
   };
   std::size_t calls = 0;
-  const auto results = run_campaign(*env, specs, core::ScoringConfig{},
-                                    [&](std::size_t done, std::size_t total) {
-                                      ++calls;
-                                      EXPECT_LE(done, total);
-                                    });
+  RunnerOptions serial;
+  serial.jobs = 1;
+  serial.progress = [&](std::size_t done, std::size_t total) {
+    ++calls;
+    EXPECT_LE(done, total);
+  };
+  const auto results = run_campaign(*env, specs, {}, serial);
   EXPECT_EQ(results.size(), 3u);
   EXPECT_EQ(calls, 3u);
   for (const auto& r : results) EXPECT_TRUE(r.detected);

@@ -42,7 +42,7 @@ TEST_F(IntegrationTest, HundredPercentDetectionOneSamplePerFamily) {
   ASSERT_EQ(first_of_family.size(), 15u);  // 14 families + Ransom-FUE
   for (const auto& [family, spec] : first_of_family) {
     const RansomwareRunResult r =
-        harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+        harness::run_sample(*env, spec, {});
     EXPECT_TRUE(r.detected) << family;
     EXPECT_LT(r.files_lost, env->corpus.file_count() / 10) << family;
   }
@@ -54,7 +54,7 @@ TEST_F(IntegrationTest, MedianLossIsSmallAcrossMixedSamples) {
   const auto all = sim::table1_samples(6);
   std::vector<double> losses;
   for (std::size_t i = 0; i < all.size(); i += all.size() / 30) {
-    const auto r = harness::run_ransomware_sample(*env, all[i], core::ScoringConfig{});
+    const auto r = harness::run_sample(*env, all[i], {});
     EXPECT_TRUE(r.detected);
     losses.push_back(static_cast<double>(r.files_lost));
   }
@@ -93,8 +93,8 @@ TEST_F(IntegrationTest, UnionDetectionIsFasterThanNonUnion) {
   core::ScoringConfig with_union;
   core::ScoringConfig without_union;
   without_union.enable_union = false;
-  const auto fast = harness::run_ransomware_sample(*env, spec, with_union);
-  const auto slow = harness::run_ransomware_sample(*env, spec, without_union);
+  const auto fast = harness::run_sample(*env, spec, {with_union});
+  const auto slow = harness::run_sample(*env, spec, {without_union});
   EXPECT_TRUE(fast.detected);
   EXPECT_TRUE(slow.detected);
   EXPECT_LE(fast.files_lost, slow.files_lost);
@@ -115,8 +115,8 @@ TEST_F(IntegrationTest, ClassBSamplesLoseMoreFilesThanClassA) {
   xorist.profile = sim::family_profile("Xorist", sim::BehaviorClass::A);
   xorist.seed = 32;
 
-  const auto slow = harness::run_ransomware_sample(*env, ctb, core::ScoringConfig{});
-  const auto fast = harness::run_ransomware_sample(*env, xorist, core::ScoringConfig{});
+  const auto slow = harness::run_sample(*env, ctb, {});
+  const auto fast = harness::run_sample(*env, xorist, {});
   EXPECT_TRUE(slow.detected);
   EXPECT_TRUE(fast.detected);
   EXPECT_GT(slow.files_lost, fast.files_lost);
@@ -135,9 +135,9 @@ TEST_F(IntegrationTest, CtbLockerSmallFileAblation) {
   filtered.min_file_size = 512;
   const Environment env_filtered = harness::make_environment(filtered, 2016);
 
-  const auto with_small = harness::run_ransomware_sample(*env, ctb, core::ScoringConfig{});
+  const auto with_small = harness::run_sample(*env, ctb, {});
   const auto without_small =
-      harness::run_ransomware_sample(env_filtered, ctb, core::ScoringConfig{});
+      harness::run_sample(env_filtered, ctb, {});
   EXPECT_TRUE(with_small.detected);
   EXPECT_TRUE(without_small.detected);
   EXPECT_LT(without_small.files_lost, with_small.files_lost);
@@ -159,8 +159,8 @@ TEST_F(IntegrationTest, MoveOverClassCTriggersUnionDeleteVariantDoesNot) {
   deleter.profile.delete_original = true;
   deleter.seed = 42;
 
-  const auto linked = harness::run_ransomware_sample(*env, mover, core::ScoringConfig{});
-  const auto evader = harness::run_ransomware_sample(*env, deleter, core::ScoringConfig{});
+  const auto linked = harness::run_sample(*env, mover, {});
+  const auto evader = harness::run_sample(*env, deleter, {});
   EXPECT_TRUE(linked.detected);
   EXPECT_TRUE(linked.union_triggered);
   EXPECT_TRUE(evader.detected);

@@ -370,8 +370,8 @@ TEST(ObsDeterminism, CampaignMetricsIdenticalAtAnyJobCount) {
   serial.jobs = 1;
   harness::RunnerOptions parallel;
   parallel.jobs = 8;
-  const auto r1 = harness::run_campaign_parallel(env, specs, {}, serial);
-  const auto r8 = harness::run_campaign_parallel(env, specs, {}, parallel);
+  const auto r1 = harness::run_campaign(env, specs, {}, serial);
+  const auto r8 = harness::run_campaign(env, specs, {}, parallel);
 
   const obs::MetricsSnapshot m1 = harness::merged_metrics(r1);
   const obs::MetricsSnapshot m8 = harness::merged_metrics(r8);

@@ -39,7 +39,7 @@ TEST_P(FamilyClassDetectionTest, DetectedWithBoundedLoss) {
   spec.profile = sim::family_profile(param.family, param.behavior);
   spec.profile.behavior = param.behavior;
   spec.seed = seed_from_string(param.family) ^ static_cast<std::uint64_t>(param.behavior);
-  const auto r = harness::run_ransomware_sample(shared_env(), spec, core::ScoringConfig{});
+  const auto r = harness::run_sample(shared_env(), spec, {});
   EXPECT_TRUE(r.detected);
   // Bounded loss: well under 15% of the corpus for every combination.
   EXPECT_LT(r.files_lost, shared_env().corpus.file_count() * 15 / 100);
@@ -83,7 +83,7 @@ TEST_P(ThresholdSweepTest, DetectionAtThreshold) {
   core::ScoringConfig config;
   config.score_threshold = GetParam();
   config.union_threshold = std::min(config.union_threshold, GetParam());
-  const auto r = harness::run_ransomware_sample(shared_env(), spec, config);
+  const auto r = harness::run_sample(shared_env(), spec, {config});
   EXPECT_TRUE(r.detected);
   // Stash for the monotonicity check below via static map.
   static std::map<int, std::size_t>& losses = *new std::map<int, std::size_t>();

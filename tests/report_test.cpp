@@ -2,10 +2,15 @@
 // multi-root protection, and the engine's latency self-instrumentation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "harness/report.hpp"
+#include "harness/runner.hpp"
 
 namespace cryptodrop {
 namespace {
@@ -202,6 +207,59 @@ TEST(JsonParse, RoundTripsAHandBuiltValue) {
             std::string("a\x01" "b\x1f", 4));
 }
 
+TEST(JsonRoundTrip, NumbersBeyondLongLongKeepTheirValue) {
+  // 1e19 and -9.3e18 lie outside long long: they print in %.10g form
+  // (and without the out-of-range conversion) and read back exactly.
+  for (const double value : {1e19, -9.3e18}) {
+    const std::string text = Json(value).to_string();
+    const Result<Json> parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.is_ok()) << text << ": " << parsed.status().to_string();
+    EXPECT_EQ(parsed.value().as_number(), value) << text;
+    EXPECT_EQ(parsed.value().to_string(), text);
+  }
+  EXPECT_EQ(Json(1e19).to_string(), "1e+19");
+  EXPECT_EQ(Json(-9.3e18).to_string(), "-9.3e+18");
+  // The extremes long long holds still print as integers.
+  EXPECT_EQ(Json(-9223372036854775808.0).to_string(), "-9223372036854775808");
+  EXPECT_EQ(Json(9007199254740992.0).to_string(), "9007199254740992");
+}
+
+TEST(JsonRoundTrip, NonFiniteNumbersWriteAsNull) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Json j = Json::array()
+               .push(std::numeric_limits<double>::quiet_NaN())
+               .push(inf)
+               .push(-inf);
+  EXPECT_EQ(j.to_string(), "[null,null,null]");
+  const Result<Json> parsed = Json::parse(j.to_pretty_string());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  ASSERT_EQ(parsed.value().items().size(), 3u);
+  for (const Json& item : parsed.value().items()) EXPECT_TRUE(item.is_null());
+  EXPECT_EQ(parsed.value().to_string(), j.to_string());
+}
+
+TEST(JsonParse, IntegralChecksWholenessAndRange) {
+  EXPECT_EQ(Json::integral<int>(-7.0), -7);
+  EXPECT_EQ(Json::integral<std::uint32_t>(4294967295.0), 4294967295u);
+  EXPECT_EQ(Json::integral<std::uint32_t>(4294967296.0), std::nullopt);
+  EXPECT_EQ(Json::integral<std::uint64_t>(-1.0), std::nullopt);
+  EXPECT_EQ(Json::integral<std::uint64_t>(-0.0), 0u);
+  EXPECT_EQ(Json::integral<std::uint64_t>(18446744073709549568.0),
+            18446744073709549568ull);  // largest double below 2^64
+  EXPECT_EQ(Json::integral<std::uint64_t>(18446744073709551616.0), std::nullopt);
+  EXPECT_EQ(Json::integral<long long>(9223372036854775808.0), std::nullopt);
+  EXPECT_EQ(Json::integral<int>(2.5), std::nullopt);
+  EXPECT_EQ(Json::integral<int>(1e300), std::nullopt);
+  EXPECT_EQ(Json::integral<int>(std::numeric_limits<double>::quiet_NaN()), std::nullopt);
+  EXPECT_EQ(Json::integral<int>(-std::numeric_limits<double>::infinity()), std::nullopt);
+
+  const Json doc = Json::parse(R"({"n": 3, "f": 0.5, "s": "3"})").value();
+  EXPECT_EQ(doc.integer_or<int>("n", 9), 3);
+  EXPECT_EQ(doc.integer_or<int>("missing", 9), 9);
+  EXPECT_EQ(doc.integer_or<int>("s", 9), 9);  // not a number: the fallback
+  EXPECT_EQ(doc.integer_or<int>("f", 9), std::nullopt);
+}
+
 // --- harness reports ---------------------------------------------------------
 
 class ReportTest : public ::testing::Test {
@@ -229,7 +287,7 @@ TEST_F(ReportTest, SampleJsonHasExpectedFields) {
   spec.behavior = sim::BehaviorClass::A;
   spec.profile = sim::family_profile("Xorist", sim::BehaviorClass::A);
   spec.seed = 3;
-  const auto r = harness::run_ransomware_sample(*env, spec, core::ScoringConfig{});
+  const auto r = harness::run_sample(*env, spec, {});
   const std::string json = harness::to_json(r).to_string();
   EXPECT_NE(json.find("\"family\":\"Xorist\""), std::string::npos);
   EXPECT_NE(json.find("\"class\":\"A\""), std::string::npos);
@@ -247,7 +305,7 @@ TEST_F(ReportTest, CampaignReportAggregates) {
     spec.seed = seed;
     specs.push_back(spec);
   }
-  const auto results = harness::run_campaign(*env, specs, core::ScoringConfig{});
+  const auto results = harness::run_campaign(*env, specs, {});
   const Json report = harness::campaign_report(*env, results);
   const std::string json = report.to_string();
   EXPECT_NE(json.find("\"samples\":4"), std::string::npos);

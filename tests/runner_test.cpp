@@ -98,10 +98,12 @@ TEST_F(RunnerTest, ParallelCampaignBitIdenticalToSerial) {
   const auto specs = some_specs(6);
   const core::ScoringConfig config;
 
-  const auto serial = run_campaign(*env, specs, config);
+  RunnerOptions one;
+  one.jobs = 1;
+  const auto serial = run_campaign(*env, specs, {config}, one);
   RunnerOptions options;
   options.jobs = 4;
-  const auto parallel = run_campaign_parallel(*env, specs, config, options);
+  const auto parallel = run_campaign(*env, specs, {config}, options);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -138,11 +140,11 @@ TEST_F(RunnerTest, BenignSuiteParallelMatchesSerial) {
 
   std::vector<BenignRunResult> serial;
   for (const sim::BenignWorkload& w : workloads) {
-    serial.push_back(run_benign_workload(*env, w, config, 9));
+    serial.push_back(run_workload(*env, w, 9, {config}));
   }
   RunnerOptions options;
   options.jobs = 4;
-  const auto parallel = run_benign_suite_parallel(*env, workloads, config, 9, options);
+  const auto parallel = run_benign_suite(*env, workloads, 9, {config}, options);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -162,8 +164,8 @@ TEST_F(RunnerTest, SharedDigestCacheDoesNotChangeResults) {
 
   RunnerOptions options;
   options.jobs = 2;
-  const auto with = run_campaign_parallel(*env, specs, shared, options);
-  const auto without = run_campaign_parallel(*env, specs, isolated, options);
+  const auto with = run_campaign(*env, specs, {shared}, options);
+  const auto without = run_campaign(*env, specs, {isolated}, options);
   ASSERT_EQ(with.size(), without.size());
   for (std::size_t i = 0; i < with.size(); ++i) {
     EXPECT_EQ(with[i].files_lost, without[i].files_lost);
@@ -180,10 +182,10 @@ TEST_F(RunnerTest, InvalidConfigFailsBeforeAnyTrialRuns) {
   std::atomic<std::size_t> progressed{0};
   options.progress = [&](std::size_t, std::size_t) { ++progressed; };
 
-  EXPECT_THROW(run_campaign_parallel(*env, some_specs(3), bad, options),
+  EXPECT_THROW(run_campaign(*env, some_specs(3), {bad}, options),
                std::invalid_argument);
   EXPECT_THROW(
-      run_benign_suite_parallel(*env, sim::figure6_workloads(), bad, 9, options),
+      run_benign_suite(*env, sim::figure6_workloads(), 9, {bad}, options),
       std::invalid_argument);
   EXPECT_EQ(progressed.load(), 0u);
 }

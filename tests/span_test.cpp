@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "daemon/wire.hpp"
-#include "harness/chaos.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "obs/span.hpp"
@@ -174,18 +173,17 @@ class SpanHarnessTest : public ::testing::Test {
 Environment* SpanHarnessTest::env = nullptr;
 
 TEST_F(SpanHarnessTest, SpanIdentityIsBitIdenticalAtAnyJobCount) {
+  harness::RunPlan plan;
+  plan.trace.enabled = true;
+  plan.trace.sample_every = 4;
   harness::RunnerOptions serial;
   serial.jobs = 1;
-  serial.trace.enabled = true;
-  serial.trace.sample_every = 4;
-  harness::RunnerOptions pooled = serial;
+  harness::RunnerOptions pooled;
   pooled.jobs = 8;
 
   const auto specs = some_specs(8);
-  const auto a =
-      harness::run_campaign_parallel(*env, specs, core::ScoringConfig{}, serial);
-  const auto b =
-      harness::run_campaign_parallel(*env, specs, core::ScoringConfig{}, pooled);
+  const auto a = harness::run_campaign(*env, specs, plan, serial);
+  const auto b = harness::run_campaign(*env, specs, plan, pooled);
   ASSERT_EQ(a.size(), b.size());
   std::size_t total_spans = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -204,11 +202,10 @@ TEST_F(SpanHarnessTest, SpanIdentityIsBitIdenticalAtAnyJobCount) {
 
 TEST_F(SpanHarnessTest, TracedRunNestsEngineStagesUnderFilterSpans) {
   if (!kMetricsEnabled) GTEST_SKIP() << "tracing compiled out";
-  obs::TraceOptions trace;
-  trace.enabled = true;
+  harness::RunPlan plan;
+  plan.trace.enabled = true;
   const auto specs = some_specs(2);
-  const auto r = harness::run_ransomware_sample_filtered(
-      *env, specs[0], core::ScoringConfig{}, nullptr, trace);
+  const auto r = harness::run_sample(*env, specs[0], plan);
   ASSERT_FALSE(r.trace.spans.empty());
 
   std::size_t engine_stages = 0;
@@ -238,12 +235,11 @@ TEST_F(SpanHarnessTest, TracedRunNestsEngineStagesUnderFilterSpans) {
 
 TEST_F(SpanHarnessTest, FaultFilterAppearsAsNamedFilterSpan) {
   if (!kMetricsEnabled) GTEST_SKIP() << "tracing compiled out";
-  harness::FaultCampaignOptions faults;
-  faults.plan = vfs::FaultPlan::uniform(0.05, 99);
-  obs::TraceOptions trace;
-  trace.enabled = true;
-  const auto r = harness::run_ransomware_sample_faulted(
-      *env, some_specs(2)[1], core::ScoringConfig{}, faults, trace);
+  harness::RunPlan plan;
+  plan.faults.emplace();
+  plan.faults->plan = vfs::FaultPlan::uniform(0.05, 99);
+  plan.trace.enabled = true;
+  const auto r = harness::run_sample(*env, some_specs(2)[1], plan);
   bool saw_fault_filter = false;
   for (const SpanRecord& record : r.trace.spans) {
     for (const SpanArg& arg : record.args) {
@@ -256,11 +252,11 @@ TEST_F(SpanHarnessTest, FaultFilterAppearsAsNamedFilterSpan) {
 }
 
 TEST_F(SpanHarnessTest, TraceJsonRoundTripsAndValidates) {
+  harness::RunPlan plan;
+  plan.trace.enabled = true;
   harness::RunnerOptions options;
   options.jobs = 2;
-  options.trace.enabled = true;
-  const auto results = harness::run_campaign_parallel(
-      *env, some_specs(3), core::ScoringConfig{}, options);
+  const auto results = harness::run_campaign(*env, some_specs(3), plan, options);
   const std::string text = harness::trace_report(results).to_string();
 
   const Result<std::vector<TraceEvent>> parsed = parse_trace_events(text);
@@ -294,10 +290,9 @@ TEST_F(SpanHarnessTest, TraceJsonRoundTripsAndValidates) {
 TEST_F(SpanHarnessTest, JsonRoundTripOfScoreboardAndTrace) {
   // Every document a traced campaign writes parses back to the same
   // bytes, compact and pretty.
-  harness::RunnerOptions options;
-  options.trace.enabled = true;
-  const auto results = harness::run_campaign_parallel(
-      *env, some_specs(2), core::ScoringConfig{}, options);
+  harness::RunPlan plan;
+  plan.trace.enabled = true;
+  const auto results = harness::run_campaign(*env, some_specs(2), plan);
   std::vector<Json> documents = {harness::trace_report(results)};
   for (const harness::RansomwareRunResult& r : results) {
     documents.push_back(daemon::scoreboard_to_json(r.scoreboard));
@@ -324,6 +319,23 @@ TEST(TraceExport, HostileJsonNestingIsAnError) {
     ASSERT_FALSE(parsed.is_ok());
     EXPECT_EQ(parsed.code(), Errc::invalid_argument);
   }
+}
+
+TEST(TraceExport, PidAndTidMustBeWholeNumbersInRange) {
+  for (const char* bad : {"-0.5", "1e300", "-1e300", "2.5", "9223372036854775808"}) {
+    for (const char* key : {"pid", "tid"}) {
+      const std::string text = std::string(R"({"traceEvents":[{"name":"x","ph":"B","ts":1,")") +
+                               key + "\":" + bad + "}]}";
+      const Result<std::vector<TraceEvent>> parsed = parse_trace_events(text);
+      ASSERT_FALSE(parsed.is_ok()) << text;
+      EXPECT_EQ(parsed.code(), Errc::invalid_argument) << text;
+    }
+  }
+  const Result<std::vector<TraceEvent>> ok = parse_trace_events(
+      R"({"traceEvents":[{"name":"x","ph":"B","ts":1,"pid":-3,"tid":7}]})");
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok.value()[0].pid, -3);
+  EXPECT_EQ(ok.value()[0].tid, 7);
 }
 
 TEST(TraceExport, EmptyTraceIsValidAndAnalyzable) {

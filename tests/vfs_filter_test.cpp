@@ -1,10 +1,9 @@
 // Tests for the minifilter-style filter stack: callback ordering, deny
-// semantics, event payloads, and the recording filter.
+// semantics and event payloads.
 #include <gtest/gtest.h>
 
 #include "vfs/filesystem.hpp"
 #include "vfs/filter.hpp"
-#include "vfs/recording_filter.hpp"
 
 namespace cryptodrop::vfs {
 namespace {
@@ -190,52 +189,6 @@ TEST_F(FilterTest, UnfilteredAccessorsGenerateNoEvents) {
   (void)fs.list("");
   (void)fs.list_files_recursive("");
   EXPECT_TRUE(log.empty());
-}
-
-// --- RecordingFilter -------------------------------------------------------
-
-TEST(RecordingFilter, RecordsSuccessAndFailure) {
-  FileSystem fs;
-  RecordingFilter recorder;
-  fs.attach_filter(&recorder);
-  const ProcessId pid = fs.register_process("p");
-  ASSERT_TRUE(fs.write_file(pid, "a/f.txt", to_bytes("x")).is_ok());
-  (void)fs.remove(pid, "missing");  // fails inside apply? no: pre-checked
-  const auto& ops = recorder.ops();
-  ASSERT_GE(ops.size(), 3u);  // open, write, close
-  EXPECT_TRUE(ops[0].succeeded);
-}
-
-TEST(RecordingFilter, PathQueriesFilterByProcess) {
-  FileSystem fs;
-  RecordingFilter recorder;
-  fs.attach_filter(&recorder);
-  const ProcessId a = fs.register_process("a");
-  const ProcessId b = fs.register_process("b");
-  ASSERT_TRUE(fs.write_file(a, "d1/x.txt", to_bytes("1")).is_ok());
-  ASSERT_TRUE(fs.write_file(b, "d2/y.txt", to_bytes("2")).is_ok());
-  ASSERT_TRUE(fs.read_file(a, "d2/y.txt").is_ok());
-
-  const auto a_reads = recorder.paths_read_by(a);
-  ASSERT_EQ(a_reads.size(), 1u);
-  EXPECT_EQ(a_reads[0], "d2/y.txt");
-  const auto b_mods = recorder.paths_modified_by(b);
-  ASSERT_EQ(b_mods.size(), 1u);
-  EXPECT_EQ(b_mods[0], "d2/y.txt");
-  const auto a_dirs = recorder.directories_touched_by(a);
-  EXPECT_TRUE(a_dirs.contains("d1"));
-  EXPECT_TRUE(a_dirs.contains("d2"));
-}
-
-TEST(RecordingFilter, ClearResets) {
-  FileSystem fs;
-  RecordingFilter recorder;
-  fs.attach_filter(&recorder);
-  const ProcessId pid = fs.register_process("p");
-  ASSERT_TRUE(fs.mkdir(pid, "d").is_ok());
-  EXPECT_FALSE(recorder.ops().empty());
-  recorder.clear();
-  EXPECT_TRUE(recorder.ops().empty());
 }
 
 }  // namespace
