@@ -180,13 +180,9 @@ struct ScoringConfig {
   bool enable_deletion = true;
   bool enable_funneling = true;
 
-  /// Keep per-process score-event timelines: the legacy ScoreEvent
-  /// vector (unbounded; Figure-6-style threshold sweeps) and the bounded
-  /// forensic ring behind AnalysisEngine::explain() — see
-  /// docs/OBSERVABILITY.md.
-  bool record_timeline = true;
-  /// Capacity of each process's forensic timeline ring (oldest events
-  /// are evicted beyond this). Must be >= 1 while record_timeline is on.
+  /// Capacity of each process's score history, the forensic timeline
+  /// ring behind AnalysisEngine::explain() (docs/OBSERVABILITY.md).
+  /// Oldest events are evicted beyond this; 0 records nothing.
   std::size_t timeline_capacity = 128;
 
   /// Serve baseline similarity digests from the process-wide cache keyed

@@ -12,17 +12,26 @@
 
 namespace cryptodrop::core {
 
+namespace {
+
+/// Maps a scoring indicator onto its forensic timeline event kind: the
+/// first seven TimelineEventKind values mirror the Indicator enum.
+constexpr obs::TimelineEventKind timeline_kind(Indicator ind) {
+  return static_cast<obs::TimelineEventKind>(ind);
+}
+static_assert(
+    timeline_kind(Indicator::entropy_delta) == obs::TimelineEventKind::entropy_delta &&
+    timeline_kind(Indicator::type_change) == obs::TimelineEventKind::type_change &&
+    timeline_kind(Indicator::similarity_drop) == obs::TimelineEventKind::similarity_drop &&
+    timeline_kind(Indicator::deletion) == obs::TimelineEventKind::deletion &&
+    timeline_kind(Indicator::funneling) == obs::TimelineEventKind::funneling &&
+    timeline_kind(Indicator::union_indication) == obs::TimelineEventKind::union_indication &&
+    timeline_kind(Indicator::burst_rate) == obs::TimelineEventKind::burst_rate);
+
+}  // namespace
+
 std::string_view indicator_name(Indicator ind) {
-  switch (ind) {
-    case Indicator::entropy_delta: return "entropy_delta";
-    case Indicator::type_change: return "type_change";
-    case Indicator::similarity_drop: return "similarity_drop";
-    case Indicator::deletion: return "deletion";
-    case Indicator::funneling: return "funneling";
-    case Indicator::union_indication: return "union";
-    case Indicator::burst_rate: return "burst_rate";
-  }
-  return "?";
+  return obs::timeline_event_kind_name(timeline_kind(ind));
 }
 
 const LatencyStats::PerOp& LatencyStats::for_op(vfs::OpType op) const {
@@ -98,21 +107,6 @@ class ScopedLatency {
 /// engine freely). The sink is scoped to one pre/post callback; engine
 /// callbacks never nest on a thread, so one slot suffices.
 thread_local std::vector<Alert>* t_alert_sink = nullptr;
-
-/// Maps a scoring indicator onto its forensic timeline event kind (the
-/// first seven TimelineEventKind values mirror the Indicator enum).
-obs::TimelineEventKind timeline_kind(Indicator ind) {
-  switch (ind) {
-    case Indicator::entropy_delta: return obs::TimelineEventKind::entropy_delta;
-    case Indicator::type_change: return obs::TimelineEventKind::type_change;
-    case Indicator::similarity_drop: return obs::TimelineEventKind::similarity_drop;
-    case Indicator::deletion: return obs::TimelineEventKind::deletion;
-    case Indicator::funneling: return obs::TimelineEventKind::funneling;
-    case Indicator::union_indication: return obs::TimelineEventKind::union_indication;
-    case Indicator::burst_rate: return obs::TimelineEventKind::burst_rate;
-  }
-  return obs::TimelineEventKind::entropy_delta;
-}
 
 class AlertScope {
  public:
@@ -292,8 +286,8 @@ AnalysisEngine::LockedProcess AnalysisEngine::lock_state_for(
   if (inserted) {
     it->second.name = event.process_name;
     it->second.threshold = config_.score_threshold;
-    it->second.forensic = obs::TimelineRing(
-        config_.record_timeline ? config_.timeline_capacity : 0);
+    it->second.forensic =
+        common::BoundedRing<obs::TimelineEvent>(config_.timeline_capacity);
     it->second.read_means.resize(entropy_members_.size());
     it->second.write_means.resize(entropy_members_.size());
   }
@@ -351,7 +345,6 @@ ProcessReport AnalysisEngine::make_report(vfs::ProcessId pid, vfs::ProcessId key
   if (!s.write_means.empty()) report.write_entropy_mean = s.write_means[0].mean();
   report.read_extensions = s.read_extensions;
   report.write_extensions = s.write_extensions;
-  report.timeline = s.timeline;
   report.forensic = make_forensic(key, s);
   return report;
 }
@@ -364,10 +357,14 @@ obs::ForensicTimeline AnalysisEngine::make_forensic(vfs::ProcessId key,
   timeline.suspended = proc.suspended;
   timeline.final_score = proc.score;
   timeline.threshold = proc.threshold;
-  timeline.events_recorded = proc.forensic.total_recorded();
+  timeline.events_recorded = proc.forensic.recorded();
   timeline.events_dropped = proc.forensic.dropped();
-  timeline.events.assign(proc.forensic.events().begin(),
-                         proc.forensic.events().end());
+  timeline.events.reserve(proc.forensic.size());
+  for (const obs::TimelineEvent& event : proc.forensic) {
+    timeline.events.push_back(event);
+    // An event's sequence number is its ring index.
+    timeline.events.back().seq = timeline.events_dropped + timeline.events.size() - 1;
+  }
   return timeline;
 }
 
@@ -482,7 +479,7 @@ void AnalysisEngine::resume_process(vfs::ProcessId pid) {
 void AnalysisEngine::add_points(ProcessState& proc, vfs::ProcessId pid,
                                 Indicator indicator, int points,
                                 const std::string& path, double detail,
-                                std::string note, std::string backend) {
+                                std::string note) {
   const int score_before = proc.score;
   proc.score += points;
   // The score-update span's payload is its args (the event itself), not
@@ -496,21 +493,16 @@ void AnalysisEngine::add_points(ProcessState& proc, vfs::ProcessId pid,
   const auto idx = static_cast<std::size_t>(indicator);
   m_indicator_events_[idx]->add();
   m_indicator_points_[idx]->add(static_cast<std::uint64_t>(std::max(points, 0)));
-  if (config_.record_timeline) {
-    const std::uint64_t op_seq = op_seq_.load(std::memory_order_relaxed);
-    proc.timeline.push_back(
-        ScoreEvent{op_seq, indicator, points, path, std::move(backend)});
-    obs::TimelineEvent event;
-    event.op_seq = op_seq;
-    event.kind = timeline_kind(indicator);
-    event.points = points;
-    event.score_before = score_before;
-    event.score_after = proc.score;
-    event.path = path;
-    event.detail = detail;
-    event.note = std::move(note);
-    proc.forensic.push(std::move(event));
-  }
+  obs::TimelineEvent event;
+  event.op_seq = op_seq_.load(std::memory_order_relaxed);
+  event.kind = timeline_kind(indicator);
+  event.points = points;
+  event.score_before = score_before;
+  event.score_after = proc.score;
+  event.path = path;
+  event.detail = detail;
+  event.note = std::move(note);
+  proc.forensic.push(std::move(event));
   (void)pid;
 }
 
@@ -913,18 +905,20 @@ void AnalysisEngine::score_write_entropy(ProcessState& proc, vfs::ProcessId pid,
                                   entropy_weight_total_ - 1e-12;
   if (voted_weight < quorum) return;
   const double delta = delta_weighted / voted_weight;
-  std::string voters;
+  // The note names the voting backends, comma-joined in schema order.
+  std::string note = "write-mean minus read-mean entropy (voted: ";
   for (std::size_t v = 0; v < voter_count; ++v) {
     const std::size_t i = voters_idx[v];
     m_backend_events_[static_cast<std::size_t>(entropy_members_[i].backend)]->add();
-    if (!voters.empty()) voters += ',';
-    voters += entropy_backends_[i]->name();
+    if (v > 0) note += ',';
+    note += entropy_backends_[i]->name();
   }
+  note += ')';
   proc.saw_entropy = true;
   ++proc.entropy_events;
   add_points(proc, pid, Indicator::entropy_delta,
              scaled_entropy_points(data.size(), delta), path, /*detail=*/delta,
-             "write-mean minus read-mean entropy", std::move(voters));
+             std::move(note));
   check_union(proc, pid, path);
   maybe_detect(proc, pid, /*via_union=*/false);
 }

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bounded_ring.hpp"
 #include "common/bytes.hpp"
 #include "common/ranked_mutex.hpp"
 #include "core/config.hpp"
@@ -76,18 +77,6 @@ enum class Indicator : std::uint8_t {
 /// — used in reports, metric names, and forensic-timeline JSON.
 std::string_view indicator_name(Indicator ind);
 
-/// One reputation-score increment.
-struct ScoreEvent {
-  std::uint64_t op_seq;  ///< Engine-observed operation sequence number.
-  Indicator indicator;
-  int points;
-  std::string path;  ///< File the event concerns (empty for funneling/union).
-  /// For entropy_delta events: which backend(s) voted, comma-joined in
-  /// schema order ("shannon", "chi_square,daa"). Empty for every other
-  /// indicator.
-  std::string backend;
-};
-
 /// Point-in-time view of one process's reputation (returned by
 /// process_report() and inside EngineSnapshot).
 struct ProcessReport {
@@ -114,11 +103,9 @@ struct ProcessReport {
   std::set<std::string> read_extensions;   ///< Extensions read under the root.
   std::set<std::string> write_extensions;  ///< Extensions written under the root.
 
-  std::vector<ScoreEvent> timeline;  ///< Present when config.record_timeline.
-
-  /// Bounded forensic event history (docs/OBSERVABILITY.md): the same
-  /// score changes as `timeline` but with score-before/after and
-  /// indicator detail, plus suspension/resume verdict events.
+  /// Bounded score history (docs/OBSERVABILITY.md): every score change
+  /// with score-before/after and indicator detail, plus suspension and
+  /// resume verdict events. At most config.timeline_capacity events.
   obs::ForensicTimeline forensic;
 };
 
@@ -294,11 +281,9 @@ class AnalysisEngine : public vfs::Filter {
     std::set<std::string> read_extensions;
     std::set<std::string> write_extensions;
 
-    std::vector<ScoreEvent> timeline;
-    /// Bounded forensic ring (capacity fixed at entry creation from
-    /// config.timeline_capacity; 0 = recording disabled). Mutated only
-    /// under this entry's shard lock, so it needs no atomics of its own.
-    obs::TimelineRing forensic{0};
+    /// Score history: config.timeline_capacity events (0 = none), touched
+    /// only under this entry's shard lock.
+    common::BoundedRing<obs::TimelineEvent> forensic;
   };
 
   /// Pre-modification snapshot of a protected file, keyed by FileId so it
@@ -350,13 +335,12 @@ class AnalysisEngine : public vfs::Filter {
   /// if needed) its state entry.
   LockedProcess lock_state_for(const vfs::OperationEvent& event);
 
-  /// Adds `points` to `proc`, bumps the per-indicator metrics, and (when
-  /// timelines are on) appends both the legacy ScoreEvent and a forensic
-  /// TimelineEvent. `detail` is the indicator's measured magnitude
+  /// Adds `points` to `proc`, bumps the per-indicator metrics and records
+  /// a TimelineEvent. `detail` is the indicator's measured magnitude
   /// (entropy delta, similarity score, ...); `note` is free-form context.
   void add_points(ProcessState& proc, vfs::ProcessId pid, Indicator indicator,
                   int points, const std::string& path, double detail = 0.0,
-                  std::string note = {}, std::string backend = {});
+                  std::string note = {});
   [[nodiscard]] int scaled_entropy_points(std::size_t op_bytes, double delta) const;
   void score_write_entropy(ProcessState& proc, vfs::ProcessId pid, ByteView data,
                            const std::string& path);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <string_view>
 #include <utility>
 
@@ -40,49 +41,74 @@ Response error_response(const Status& status) {
           false};
 }
 
-/// Integer member `key` of `object` (`fallback` when absent or not a
-/// number). A number T cannot hold — fractional, non-finite or out of
-/// range, e.g. a negative cursor or 1e300 — is an invalid_argument error
-/// rather than an undefined float-to-integer conversion.
+/// Member `key` of `object` as a T (bool, std::string or an integer):
+/// `fallback` when absent, required when there is none. Another JSON
+/// type, or a number T cannot hold (fractional, non-finite, out of
+/// range), is an invalid_argument error, never a silent fallback.
 template <typename T>
-Result<T> integer_field(const Json& object, std::string_view key, T fallback) {
-  if (const std::optional<T> value = object.integer_or<T>(key, fallback)) {
-    return *value;
+Result<T> field(const Json& object, std::string_view key, std::optional<T> fallback) {
+  const Json* value = object.find(key);
+  const std::string name = "`" + std::string(key) + "`";
+  if (value == nullptr) {
+    if (fallback) return *std::move(fallback);
+    return Status(Errc::invalid_argument, name + " is required");
   }
-  return Status(Errc::invalid_argument,
-                "`" + std::string(key) + "` must be a whole number in range");
+  if constexpr (std::is_same_v<T, bool>) {
+    if (value->is_bool()) return value->as_bool();
+    return Status(Errc::invalid_argument, name + " must be a boolean");
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (value->is_string()) return value->as_string();
+    return Status(Errc::invalid_argument, name + " must be a string");
+  } else {
+    if (value->is_number()) {
+      if (const std::optional<T> whole = Json::integral<T>(value->as_number())) return *whole;
+    }
+    return Status(Errc::invalid_argument, name + " must be a whole number in range");
+  }
+}
+
+/// Overwrites `target` with member `key` of `object` when present.
+template <typename T>
+Status read_into(const Json& object, std::string_view key, T& target) {
+  Result<T> value = field<T>(object, key, target);
+  if (!value) return value.status();
+  target = std::move(value).value();
+  return Status::ok();
 }
 
 /// Applies the documented `config` overrides (docs/DAEMON.md `attach`)
 /// on top of the daemon's default scoring config.
 Result<core::ScoringConfig> config_from_json(core::ScoringConfig base,
                                              const Json* overrides) {
-  if (overrides == nullptr || !overrides->is_object()) {
-    return base;
+  if (overrides == nullptr) return base;
+  if (!overrides->is_object()) {
+    return Status(Errc::invalid_argument, "`config` must be an object");
   }
-  for (auto [key, field] : {std::pair{"score_threshold", &base.score_threshold},
-                            std::pair{"union_threshold", &base.union_threshold},
-                            std::pair{"union_bonus", &base.union_bonus}}) {
-    const Result<int> value = integer_field(*overrides, key, *field);
-    if (!value) return value.status();
-    *field = value.value();
+  for (const Status& status :
+       {read_into(*overrides, "score_threshold", base.score_threshold),
+        read_into(*overrides, "union_threshold", base.union_threshold),
+        read_into(*overrides, "union_bonus", base.union_bonus),
+        read_into(*overrides, "enable_union", base.enable_union),
+        read_into(*overrides, "enable_family_scoring", base.enable_family_scoring),
+        read_into(*overrides, "protected_root", base.protected_root)}) {
+    if (!status) return status;
   }
-  base.enable_union = overrides->bool_or("enable_union", base.enable_union);
-  base.enable_family_scoring = overrides->bool_or("enable_family_scoring",
-                                                  base.enable_family_scoring);
-  base.protected_root =
-      overrides->string_or("protected_root", base.protected_root);
   return base;
 }
 
 Response handle_request(Daemon& daemon, const Json& request,
                         WatchSubscription* watch) {
   const std::string type = request.string_or("type", "");
+  // Most requests name a tenant. An absent `tenant` reads as "" (no such
+  // tenant), except that drain and metrics then cover every tenant.
+  const Result<std::string> tenant_field = field<std::string>(request, "tenant", "");
+  if (!tenant_field) return error_response(tenant_field.status());
+  const std::string& tenant = tenant_field.value();
+  const bool all_tenants = request.find("tenant") == nullptr;
   if (type == "ping") {
     return ok_with(ok_response().set("pong", true));
   }
   if (type == "attach") {
-    const std::string tenant = request.string_or("tenant", "");
     Result<core::ScoringConfig> config =
         config_from_json(daemon.default_config(), request.find("config"));
     if (!config) return error_response(config.status());
@@ -91,19 +117,18 @@ Response handle_request(Daemon& daemon, const Json& request,
     return ok_with(ok_response().set("tenant", tenant));
   }
   if (type == "detach") {
-    const Status status = daemon.detach(request.string_or("tenant", ""));
+    const Status status = daemon.detach(tenant);
     if (!status) return error_response(status);
     return ok_with(ok_response());
   }
   if (type == "spawn") {
-    const Result<vfs::ProcessId> pid = integer_field<vfs::ProcessId>(request, "pid", 0);
+    const Result<vfs::ProcessId> pid = field<vfs::ProcessId>(request, "pid", std::nullopt);
     if (!pid) return error_response(pid.status());
-    const Result<vfs::ProcessId> parent =
-        integer_field<vfs::ProcessId>(request, "parent", 0);
+    const Result<vfs::ProcessId> parent = field<vfs::ProcessId>(request, "parent", 0);
     if (!parent) return error_response(parent.status());
-    const Status status =
-        daemon.spawn(request.string_or("tenant", ""), pid.value(),
-                     request.string_or("name", "process"), parent.value());
+    const Result<std::string> name = field<std::string>(request, "name", "process");
+    if (!name) return error_response(name.status());
+    const Status status = daemon.spawn(tenant, pid.value(), name.value(), parent.value());
     if (!status) return error_response(status);
     return ok_with(ok_response());
   }
@@ -124,54 +149,46 @@ Response handle_request(Daemon& daemon, const Json& request,
       }
       entries.push_back(std::move(*entry));
     }
-    Result<SubmitResult> result =
-        daemon.submit(request.string_or("tenant", ""), std::move(entries));
+    Result<SubmitResult> result = daemon.submit(tenant, std::move(entries));
     if (!result) return error_response(result.status());
     return ok_with(ok_response()
         .set("accepted", result.value().accepted)
         .set("shed", result.value().shed));
   }
   if (type == "drain") {
-    const Json* tenant = request.find("tenant");
-    if (tenant != nullptr && tenant->is_string()) {
-      const Status status = daemon.drain(tenant->as_string());
-      if (!status) return error_response(status);
-    } else {
+    if (all_tenants) {
       daemon.drain();
+    } else if (const Status status = daemon.drain(tenant); !status) {
+      return error_response(status);
     }
     return ok_with(ok_response().set("drained", true));
   }
   if (type == "verdicts") {
-    Result<core::EngineSnapshot> snapshot =
-        daemon.verdicts(request.string_or("tenant", ""));
+    Result<core::EngineSnapshot> snapshot = daemon.verdicts(tenant);
     if (!snapshot) return error_response(snapshot.status());
     return ok_with(ok_response().set("scoreboard",
                              scoreboard_to_json(snapshot.value())));
   }
   if (type == "explain") {
-    const Result<vfs::ProcessId> pid = integer_field<vfs::ProcessId>(request, "pid", 0);
+    const Result<vfs::ProcessId> pid = field<vfs::ProcessId>(request, "pid", std::nullopt);
     if (!pid) return error_response(pid.status());
-    Result<obs::ForensicTimeline> timeline =
-        daemon.explain(request.string_or("tenant", ""), pid.value());
+    Result<obs::ForensicTimeline> timeline = daemon.explain(tenant, pid.value());
     if (!timeline) return error_response(timeline.status());
     return ok_with(ok_response().set("forensic", obs::to_json(timeline.value())));
   }
   if (type == "metrics") {
-    const Json* tenant = request.find("tenant");
-    if (tenant != nullptr && tenant->is_string()) {
-      Result<obs::MetricsSnapshot> snapshot = daemon.tenant_metrics(tenant->as_string());
+    if (!all_tenants) {
+      Result<obs::MetricsSnapshot> snapshot = daemon.tenant_metrics(tenant);
       if (!snapshot) return error_response(snapshot.status());
       return ok_with(ok_response().set("metrics", obs::to_json(snapshot.value())));
     }
     return ok_with(ok_response().set("metrics", obs::to_json(daemon.metrics())));
   }
   if (type == "events") {
-    const Result<std::uint64_t> cursor =
-        integer_field<std::uint64_t>(request, "cursor", 0);
+    const Result<std::uint64_t> cursor = field<std::uint64_t>(request, "cursor", 0);
     if (!cursor) return error_response(cursor.status());
-    const Result<std::size_t> max = integer_field<std::size_t>(request, "max", 256);
+    const Result<std::size_t> max = field<std::size_t>(request, "max", 256);
     if (!max) return error_response(max.status());
-    const std::string tenant = request.string_or("tenant", "");
     const EventJournal::Drain drain =
         daemon.telemetry().journal().since(cursor.value(), tenant, max.value());
     Json rows = Json::array();
@@ -184,13 +201,13 @@ Response handle_request(Daemon& daemon, const Json& request,
                             static_cast<unsigned long long>(drain.dropped)));
   }
   if (type == "watch") {
-    const Result<std::uint64_t> cursor = integer_field<std::uint64_t>(
+    const Result<std::uint64_t> cursor = field<std::uint64_t>(
         request, "cursor", daemon.telemetry().journal().emitted());
     if (!cursor) return error_response(cursor.status());
     const std::uint64_t start = cursor.value();
     if (watch != nullptr) {
       watch->requested = true;
-      watch->tenant = request.string_or("tenant", "");
+      watch->tenant = tenant;
       watch->cursor = start;
     }
     return ok_with(ok_response().set(
@@ -217,7 +234,9 @@ Response handle_request(Daemon& daemon, const Json& request,
     return ok_with(ok_response().set("tenants", std::move(rows)));
   }
   if (type == "shutdown") {
-    daemon.shutdown(request.bool_or("drain", true));
+    const Result<bool> drain = field<bool>(request, "drain", true);
+    if (!drain) return error_response(drain.status());
+    daemon.shutdown(drain.value());
     return ok_with(ok_response().set("stopped", true));
   }
   return error_response("unknown request type: `" + type + "`");

@@ -39,7 +39,7 @@ Json to_json(const JournalEvent& event) {
 }
 
 EventJournal::EventJournal(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
+    : ring_(std::max<std::size_t>(capacity, 1)) {}
 
 EventJournal::AppendResult EventJournal::append(EventKind kind,
                                                 std::string tenant,
@@ -47,22 +47,15 @@ EventJournal::AppendResult EventJournal::append(EventKind kind,
                                                 double value,
                                                 std::string detail) {
   std::lock_guard<decltype(mu_)> guard(mu_);
-  AppendResult result;
-  result.cursor = next_cursor_++;
-  if (ring_.size() == capacity_) {
-    ring_.pop_front();
-    ++overwritten_;
-    result.overwrote = true;
-  }
   JournalEvent event;
-  event.cursor = result.cursor;
+  event.cursor = ring_.recorded();
   event.kind = kind;
   event.tenant = std::move(tenant);
   event.worker = worker;
   event.value = value;
   event.detail = std::move(detail);
-  ring_.push_back(std::move(event));
-  return result;
+  const bool overwrote = ring_.size() == ring_.capacity();
+  return {ring_.push(std::move(event)), overwrote};
 }
 
 EventJournal::Drain EventJournal::since(std::uint64_t cursor,
@@ -70,13 +63,12 @@ EventJournal::Drain EventJournal::since(std::uint64_t cursor,
                                         std::size_t max) const {
   std::lock_guard<decltype(mu_)> guard(mu_);
   Drain drain;
-  const std::uint64_t oldest =
-      ring_.empty() ? next_cursor_ : ring_.front().cursor;
+  const std::uint64_t oldest = ring_.dropped();
   drain.next_cursor = std::max(cursor, oldest);
   if (cursor < oldest) drain.dropped = oldest - cursor;
-  for (const JournalEvent& event : ring_) {
-    if (event.cursor < drain.next_cursor) continue;
-    if (drain.events.size() >= max) break;
+  for (std::uint64_t i = drain.next_cursor - oldest;
+       i < ring_.size() && drain.events.size() < max; ++i) {
+    const JournalEvent& event = ring_[i];
     drain.next_cursor = event.cursor + 1;
     if (!tenant.empty() && event.tenant != tenant) continue;
     drain.events.push_back(event);
@@ -86,12 +78,7 @@ EventJournal::Drain EventJournal::since(std::uint64_t cursor,
 
 std::uint64_t EventJournal::emitted() const {
   std::lock_guard<decltype(mu_)> guard(mu_);
-  return next_cursor_;
-}
-
-std::uint64_t EventJournal::overwritten() const {
-  std::lock_guard<decltype(mu_)> guard(mu_);
-  return overwritten_;
+  return ring_.recorded();
 }
 
 WorkerTelemetry::WorkerTelemetry()

@@ -2,7 +2,7 @@
 // ingestion instruments, and the health verdict (docs/DAEMON.md
 // "Operator telemetry").
 //
-// The journal is a bounded ring of structured events (tenant
+// The journal is a common::BoundedRing of structured events (tenant
 // attach/detach, suspension verdicts, shed transitions, overload
 // enter/exit, worker lifecycle) with monotonic cursors:
 //
@@ -11,7 +11,7 @@
 //    work — so journal writes stay off the per-op hot path. The daemon
 //    only appends on *transitions* (first shed of a burst, overload
 //    crossing, lifecycle edges), never per op.
-//  * Cursors are assigned once, never reused: when the ring is full
+//  * Cursors are the ring's indices, never reused: when the ring is full
 //    the oldest event is overwritten and the gap is observable —
 //    since() reports how many events between the caller's cursor and
 //    the oldest retained one were dropped, so a slow consumer sheds
@@ -28,12 +28,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/bounded_ring.hpp"
 #include "common/json.hpp"
 #include "common/ranked_mutex.hpp"
 #include "obs/metrics.hpp"
@@ -118,20 +118,13 @@ class EventJournal {
   /// Total events ever appended (== the next cursor to be assigned).
   [[nodiscard]] std::uint64_t emitted() const;
 
-  /// Total events overwritten before any reader at cursor 0 could see
-  /// them (ring-bound drops).
-  [[nodiscard]] std::uint64_t overwritten() const;
-
   /// The ring's capacity (fixed at construction).
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
 
  private:
   /// Rank 5: held for one push/copy only (see common/ranked_mutex.hpp).
   mutable common::RankedMutex<common::lockrank::kDaemonJournal> mu_;
-  std::deque<JournalEvent> ring_;
-  std::size_t capacity_;
-  std::uint64_t next_cursor_ = 0;
-  std::uint64_t overwritten_ = 0;
+  common::BoundedRing<JournalEvent> ring_;
 };
 
 /// Per-worker ingestion instruments: an ingest-latency histogram, a

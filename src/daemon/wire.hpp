@@ -30,8 +30,8 @@ inline std::optional<Json> parse_json(std::string_view text) {
 }
 
 /// Serializes one process report — score, verdict, indicator counts,
-/// entropy means, extension sets, score timeline and forensic timeline —
-/// the "per-tenant scoreboard" unit of the daemon parity gate.
+/// entropy means, extension sets and the forensic timeline (the score
+/// history) — the "per-tenant scoreboard" unit of the daemon parity gate.
 Json report_to_json(const core::ProcessReport& report);
 
 /// Serializes the scoreboard half of an engine snapshot: the report

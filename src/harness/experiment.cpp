@@ -16,6 +16,9 @@ Environment make_environment(const corpus::CorpusSpec& spec, std::uint64_t seed)
   env.spec = spec;
   Rng rng(seed);
   env.corpus = corpus::build_corpus(env.base_fs, spec, rng);
+  for (const corpus::ManifestEntry& entry : env.corpus.manifest) {
+    env.manifest_paths.insert(entry.path);
+  }
   return env;
 }
 
@@ -110,10 +113,6 @@ RansomwareRunResult run_sample(const Environment& env, const sim::SampleSpec& sp
   // Figure 5 reflects "the first files attacked by each sample", so the
   // sample's own artifacts — ransom notes, .encrypted outputs — must not
   // count; membership in the pristine manifest is the filter.
-  std::set<std::string> corpus_paths;
-  for (const corpus::ManifestEntry& entry : env.corpus.manifest) {
-    corpus_paths.insert(entry.path);
-  }
   std::set<std::string> dirs;
   for (const vfs::TraceEntry& op : recorder.entries()) {
     if (op.pid != pid) continue;
@@ -129,7 +128,7 @@ RansomwareRunResult run_sample(const Environment& env, const sim::SampleSpec& sp
       default:
         continue;
     }
-    if (!corpus_paths.contains(op.path)) continue;
+    if (!env.manifest_paths.contains(op.path)) continue;
     const std::string ext = vfs::path_extension(op.path);
     if (!ext.empty()) result.extensions_accessed.insert(ext);
   }

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
@@ -28,6 +29,8 @@ struct Environment {
   vfs::FileSystem base_fs;
   corpus::Corpus corpus;
   corpus::CorpusSpec spec;
+  /// Every corpus.manifest path (Figure 5 membership), built once.
+  std::unordered_set<std::string> manifest_paths;
 };
 
 /// Builds the standard 5,099-file / 511-directory environment (or a

@@ -38,8 +38,9 @@ std::vector<std::string_view> known_span_names() {
 }
 
 SpanTracer::SpanTracer(TraceOptions options) : options_(options) {
-  per_shard_capacity_ =
+  const std::size_t per_shard =
       std::max<std::size_t>(1, options_.ring_capacity / kMetricShards);
+  for (Shard& shard : shards_) shard.ring = common::BoundedRing<SpanRecord>(per_shard);
   epoch_ns_ = steady_now_ns();
 }
 
@@ -65,28 +66,17 @@ void SpanTracer::force_pid(std::uint32_t pid) {
 void SpanTracer::record(SpanRecord&& record) {
   Shard& shard = shards_[trace_thread_index() % kMetricShards];
   std::lock_guard lock(shard.mu);
-  ++shard.recorded;
-  if (shard.ring.size() < per_shard_capacity_) {
-    shard.ring.push_back(std::move(record));
-    return;
-  }
-  // Full: overwrite the oldest record in place (head chases the ring).
-  shard.ring[shard.head] = std::move(record);
-  shard.head = (shard.head + 1) % shard.ring.size();
-  ++shard.dropped;
+  shard.ring.push(std::move(record));
 }
 
 SpanSnapshot SpanTracer::snapshot() const {
   SpanSnapshot out;
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
-    out.recorded += shard.recorded;
-    out.dropped += shard.dropped;
-    // Unroll the ring oldest-first so relative push order survives.
-    const std::size_t n = shard.ring.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      out.spans.push_back(shard.ring[(shard.head + i) % n]);
-    }
+    out.recorded += shard.ring.recorded();
+    out.dropped += shard.ring.dropped();
+    // Oldest-first, so relative push order survives.
+    for (const SpanRecord& span : shard.ring) out.spans.push_back(span);
   }
   std::stable_sort(out.spans.begin(), out.spans.end(),
                    [](const SpanRecord& a, const SpanRecord& b) {

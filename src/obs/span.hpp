@@ -16,11 +16,12 @@
 //  * Reads merge on snapshot: snapshot() collects every shard's ring and
 //    sorts by (thread, start order). Harness code snapshots after a
 //    trial quiesces, so every span is closed by then.
-//  * Bounded spill policy: each shard ring holds ring_capacity/16
-//    records; when full, the oldest record is evicted (and counted in
-//    `dropped`). Children always close before their parents, so within
-//    a ring a child's record is strictly older than its parent's —
-//    eviction drops leaves first and never orphans a kept child.
+//  * Bounded spill policy: each shard's common::BoundedRing holds
+//    ring_capacity/16 records; when full, the oldest record is
+//    overwritten (and counted in `dropped`). Children always close
+//    before their parents, so within a ring a child's record is
+//    strictly older than its parent's — eviction drops leaves first and
+//    never orphans a kept child.
 //  * Deterministic identity: span ids derive from (pid, op index,
 //    within-op serial), where the op index is the virtual-clock
 //    timestamp divided by vfs::FileSystem::kOpCostMicros — never from
@@ -47,6 +48,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bounded_ring.hpp"
 #include "common/ranked_mutex.hpp"
 #include "obs/metrics.hpp"
 
@@ -183,14 +185,10 @@ class SpanTracer {
   struct alignas(64) Shard {
     /// Rank 60: a span close under scoreboard/file locks lands here.
     mutable common::RankedMutex<common::lockrank::kSpanShard> mu;
-    std::vector<SpanRecord> ring;  ///< Circular once full.
-    std::size_t head = 0;          ///< Next write position once full.
-    std::uint64_t recorded = 0;
-    std::uint64_t dropped = 0;
+    common::BoundedRing<SpanRecord> ring;
   };
 
   TraceOptions options_;
-  std::size_t per_shard_capacity_ = 0;
   std::uint64_t epoch_ns_ = 0;
   /// Rank 62: the verdict path takes it under a scoreboard shard.
   mutable common::RankedMutex<common::lockrank::kSpanForce> force_mu_;

@@ -17,13 +17,6 @@ std::string_view timeline_event_kind_name(TimelineEventKind kind) {
   return "?";
 }
 
-void TimelineRing::push(TimelineEvent event) {
-  if (capacity_ == 0) return;
-  event.seq = total_recorded_++;
-  if (events_.size() == capacity_) events_.pop_front();
-  events_.push_back(std::move(event));
-}
-
 Json to_json(const ForensicTimeline& timeline) {
   Json events = Json::array();
   for (const TimelineEvent& ev : timeline.events) {

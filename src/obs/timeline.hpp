@@ -6,22 +6,17 @@
 // event per reputation-score change (type-change, similarity loss,
 // entropy delta, deletion, funneling, union, burst-rate), carrying the
 // score before/after and an indicator-specific detail, and a terminal
-// event when the process is suspended or resumed. `engine.explain(pid)`
-// returns the ring's contents; obs::to_json serializes them in the
-// format documented in docs/OBSERVABILITY.md.
+// event when the process is suspended or resumed. This is the engine's
+// only score history. `engine.explain(pid)` returns it; obs::to_json
+// serializes it in the format documented in docs/OBSERVABILITY.md.
 //
-// The ring is bounded (ScoringConfig::timeline_capacity) so a long-lived
-// benign process cannot grow memory without bound: when full, the oldest
-// event is evicted and `dropped()` counts it. Event sequence numbers are
-// per-process and survive eviction, so gaps are visible.
-//
-// Thread-safety: a TimelineRing is plain data. The engine stores one per
-// scoreboard entry and only touches it under that entry's shard lock.
+// Each process's events live in a common::BoundedRing of
+// ScoringConfig::timeline_capacity events, so a long-lived process
+// cannot grow memory without bound; `events_dropped` counts evictions.
+// An event's `seq` is its ring index, so gaps from eviction are visible.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,37 +58,6 @@ struct TimelineEvent {
   /// Free-form annotation (e.g. "pdf -> high-entropy data" on a
   /// type-change, "via union" on a suspension). May be empty.
   std::string note;
-};
-
-/// Fixed-capacity ring of TimelineEvents; push() evicts the oldest once
-/// full. Capacity 0 disables recording entirely (push is a no-op).
-class TimelineRing {
- public:
-  /// Default capacity matches ScoringConfig::timeline_capacity's default.
-  explicit TimelineRing(std::size_t capacity = 128) : capacity_(capacity) {}
-
-  /// Appends `event`, stamping its `seq`, evicting the oldest event if
-  /// the ring is at capacity. No-op when capacity is 0.
-  void push(TimelineEvent event);
-
-  /// Events currently held, oldest first.
-  [[nodiscard]] const std::deque<TimelineEvent>& events() const { return events_; }
-
-  /// Total events ever pushed (including evicted ones).
-  [[nodiscard]] std::uint64_t total_recorded() const { return total_recorded_; }
-
-  /// Events evicted so far (total_recorded() - events().size()).
-  [[nodiscard]] std::uint64_t dropped() const {
-    return total_recorded_ - events_.size();
-  }
-
-  /// The fixed capacity this ring was constructed with.
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- private:
-  std::size_t capacity_;
-  std::uint64_t total_recorded_ = 0;
-  std::deque<TimelineEvent> events_;
 };
 
 /// A process's complete forensic record, as returned by

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
+#include "common/bounded_ring.hpp"
 #include "common/bytes.hpp"
 #include "common/hex.hpp"
 #include "common/result.hpp"
@@ -323,6 +326,59 @@ TEST(Result, ValueAccess) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), 42);
   EXPECT_EQ(r.value_or(0), 42);
+}
+
+// --- BoundedRing ---------------------------------------------------------
+
+std::vector<int> contents(const common::BoundedRing<int>& ring) {
+  std::vector<int> out;
+  for (int value : ring) out.push_back(value);
+  return out;
+}
+
+TEST(BoundedRing, EvictsOldestKeepsIndices) {
+  common::BoundedRing<int> ring(3);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(ring.push(i), static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.recorded(), 5u);
+  EXPECT_EQ(ring.dropped(), 2u);
+  // The survivors are the three newest, oldest first; the oldest one's
+  // index (2) is the number dropped before it.
+  EXPECT_EQ(ring[0], 2);
+  EXPECT_EQ(ring[2], 4);
+  EXPECT_EQ(contents(ring), (std::vector<int>{2, 3, 4}));
+}
+
+TEST(BoundedRing, ZeroCapacityRecordsNothing) {
+  for (common::BoundedRing<int> ring :
+       {common::BoundedRing<int>(), common::BoundedRing<int>(0)}) {
+    EXPECT_EQ(ring.push(1), 0u);
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_EQ(ring.capacity(), 0u);
+    EXPECT_EQ(ring.recorded(), 0u);
+    EXPECT_EQ(ring.dropped(), 0u);
+    EXPECT_EQ(ring.begin(), ring.end());
+  }
+}
+
+TEST(BoundedRing, WrapsRepeatedlyInPushOrder) {
+  // Several full laps at capacities 1 (every push overwrites) through 4:
+  // after each push the ring holds exactly the newest min(n, capacity)
+  // values, oldest first, and recorded == dropped + size.
+  for (std::size_t capacity = 1; capacity <= 4; ++capacity) {
+    common::BoundedRing<int> ring(capacity);
+    for (int n = 1; n <= 11; ++n) {
+      ring.push(n - 1);
+      const std::size_t kept = std::min<std::size_t>(static_cast<std::size_t>(n), capacity);
+      std::vector<int> want;
+      for (int v = n - static_cast<int>(kept); v < n; ++v) want.push_back(v);
+      EXPECT_EQ(contents(ring), want) << "capacity " << capacity << " n " << n;
+      EXPECT_EQ(ring.recorded(), ring.dropped() + ring.size());
+      EXPECT_EQ(ring.dropped(), static_cast<std::uint64_t>(n) - kept);
+    }
+  }
 }
 
 TEST(Result, ErrorPropagates) {

@@ -85,7 +85,7 @@ ScoringConfig stress_config() {
   config.enable_family_scoring = false;  // no FileSystem attached
   config.score_threshold = 1'000'000;
   config.union_threshold = 1'000'000;
-  config.record_timeline = false;  // op_seq interleaving is schedule-dependent
+  config.timeline_capacity = 0;  // op_seq interleaving is schedule-dependent
   return config;
 }
 
@@ -176,7 +176,8 @@ TEST(EngineConcurrency, SnapshotsAreInternallyConsistentUnderLoad) {
   constexpr std::size_t kRemoves = 300;
 
   ScoringConfig config = stress_config();
-  config.record_timeline = true;  // per-pid timeline: schedule-independent sums
+  // Per-pid history, wrapped past its capacity by kRemoves deletions.
+  config.timeline_capacity = 128;
   AnalysisEngine engine(config);
 
   std::atomic<bool> stop{false};
@@ -200,11 +201,13 @@ TEST(EngineConcurrency, SnapshotsAreInternallyConsistentUnderLoad) {
       EXPECT_GE(snap.observed_ops, last_ops);  // ops never run backwards
       last_ops = snap.observed_ops;
       for (const ProcessReport& report : snap.processes) {
-        // A torn read would break score == sum(timeline points).
-        int total = 0;
-        for (const ScoreEvent& ev : report.timeline) total += ev.points;
-        EXPECT_EQ(report.score, total) << "pid " << report.pid;
-        EXPECT_EQ(report.deletion_events, report.timeline.size());
+        // A torn read would break score == the newest event's
+        // score_after, or events_recorded == deletion_events.
+        const obs::ForensicTimeline& history = report.forensic;
+        const int last_score =
+            history.events.empty() ? 0 : history.events.back().score_after;
+        EXPECT_EQ(report.score, last_score) << "pid " << report.pid;
+        EXPECT_EQ(report.deletion_events, history.events_recorded);
       }
     }
   });

@@ -412,8 +412,8 @@ TEST_F(EngineTest, UnionBonusAppliedOnlyOnce) {
     const std::string path = doc("v" + std::to_string(i) + ".txt");
     subject_overwrites(path, encrypted_copy(path));
   }
-  for (const ScoreEvent& ev : engine->process_report(pid).timeline) {
-    if (ev.indicator == Indicator::union_indication) ++union_events;
+  for (const obs::TimelineEvent& ev : engine->process_report(pid).forensic.events) {
+    if (ev.kind == obs::TimelineEventKind::union_indication) ++union_events;
   }
   EXPECT_EQ(union_events, 1);
 }
@@ -457,20 +457,24 @@ TEST_F(EngineTest, TimelineRecordsIndicatorsInOrder) {
   subject_reads(doc("a.txt"));
   subject_writes(doc("x.bin"), rng.bytes(20000));  // entropy
   ASSERT_TRUE(fs.remove(pid, doc("a.txt")).is_ok());  // deletion
-  const ProcessReport report = engine->process_report(pid);
-  ASSERT_GE(report.timeline.size(), 2u);
-  EXPECT_EQ(report.timeline[0].indicator, Indicator::entropy_delta);
-  EXPECT_EQ(report.timeline.back().indicator, Indicator::deletion);
-  EXPECT_LE(report.timeline[0].op_seq, report.timeline.back().op_seq);
+  const std::vector<obs::TimelineEvent>& events =
+      engine->process_report(pid).forensic.events;
+  ASSERT_GE(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, obs::TimelineEventKind::entropy_delta);
+  EXPECT_EQ(events[0].note, "write-mean minus read-mean entropy (voted: shannon)");
+  EXPECT_EQ(events.back().kind, obs::TimelineEventKind::deletion);
+  EXPECT_LE(events[0].op_seq, events.back().op_seq);
 }
 
 TEST_F(EngineTest, TimelineDisabledWhenNotRecorded) {
-  config.record_timeline = false;
+  config.timeline_capacity = 0;
   attach();
   put_prose(doc("a.txt"), 1000);
   ASSERT_TRUE(fs.remove(pid, doc("a.txt")).is_ok());
   EXPECT_GT(engine->score(pid), 0);
-  EXPECT_TRUE(engine->process_report(pid).timeline.empty());
+  const obs::ForensicTimeline history = engine->process_report(pid).forensic;
+  EXPECT_TRUE(history.events.empty());
+  EXPECT_EQ(history.events_recorded, 0u);
 }
 
 TEST_F(EngineTest, IndicatorNamesAreStable) {

@@ -158,37 +158,6 @@ TEST(ObsSnapshot, ToJsonNamesEveryMetric) {
   EXPECT_NE(text.find("\"histograms\""), std::string::npos);
 }
 
-// --- timeline ring -----------------------------------------------------
-
-obs::TimelineEvent event_with_points(int points) {
-  obs::TimelineEvent ev;
-  ev.kind = obs::TimelineEventKind::entropy_delta;
-  ev.points = points;
-  return ev;
-}
-
-TEST(ObsTimelineRing, EvictsOldestKeepsSeqNumbers) {
-  obs::TimelineRing ring(3);
-  for (int i = 0; i < 5; ++i) ring.push(event_with_points(i));
-  EXPECT_EQ(ring.events().size(), 3u);
-  EXPECT_EQ(ring.total_recorded(), 5u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  // The survivors are the three newest, and their seq numbers reflect
-  // their position in the full (pre-eviction) history.
-  EXPECT_EQ(ring.events()[0].seq, 2u);
-  EXPECT_EQ(ring.events()[0].points, 2);
-  EXPECT_EQ(ring.events()[2].seq, 4u);
-  EXPECT_EQ(ring.events()[2].points, 4);
-}
-
-TEST(ObsTimelineRing, ZeroCapacityRecordsNothing) {
-  obs::TimelineRing ring(0);
-  ring.push(event_with_points(1));
-  EXPECT_TRUE(ring.events().empty());
-  EXPECT_EQ(ring.total_recorded(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
 // --- engine integration ------------------------------------------------
 
 constexpr const char* kRoot = "users/victim/documents";
@@ -287,13 +256,18 @@ TEST_F(ObsEngineTest, TimelineCapacityBoundsTheRing) {
   EXPECT_LE(timeline.events.size(), 4u);
   EXPECT_EQ(timeline.events_dropped,
             timeline.events_recorded - timeline.events.size());
+  // Sequence numbers are ring indices: they survive eviction, so the
+  // first survivor's is the number of events dropped before it.
+  for (std::size_t i = 0; i < timeline.events.size(); ++i) {
+    EXPECT_EQ(timeline.events[i].seq, timeline.events_dropped + i);
+  }
   // Eviction is oldest-first, so the terminal verdict always survives.
   ASSERT_FALSE(timeline.events.empty());
   EXPECT_EQ(timeline.events.back().kind, obs::TimelineEventKind::suspension);
 }
 
-TEST_F(ObsEngineTest, RecordTimelineOffDisablesForensicEvents) {
-  config.record_timeline = false;
+TEST_F(ObsEngineTest, ZeroTimelineCapacityDisablesForensicEvents) {
+  config.timeline_capacity = 0;
   seed_and_attack(/*threshold=*/100);
   ASSERT_TRUE(engine->is_suspended(pid));
 

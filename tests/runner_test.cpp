@@ -123,13 +123,17 @@ TEST_F(RunnerTest, ParallelCampaignBitIdenticalToSerial) {
     EXPECT_EQ(s.report.deletion_events, p.report.deletion_events);
     EXPECT_EQ(s.report.funneling_events, p.report.funneling_events);
     // Each trial owns its engine, so even per-op sequence numbers in the
-    // timeline are schedule-independent.
-    ASSERT_EQ(s.report.timeline.size(), p.report.timeline.size());
-    for (std::size_t j = 0; j < s.report.timeline.size(); ++j) {
-      EXPECT_EQ(s.report.timeline[j].op_seq, p.report.timeline[j].op_seq);
-      EXPECT_EQ(s.report.timeline[j].indicator, p.report.timeline[j].indicator);
-      EXPECT_EQ(s.report.timeline[j].points, p.report.timeline[j].points);
-      EXPECT_EQ(s.report.timeline[j].path, p.report.timeline[j].path);
+    // forensic timeline are schedule-independent.
+    const obs::ForensicTimeline& st = s.report.forensic;
+    const obs::ForensicTimeline& pt = p.report.forensic;
+    EXPECT_EQ(st.events_recorded, pt.events_recorded);
+    ASSERT_EQ(st.events.size(), pt.events.size());
+    for (std::size_t j = 0; j < st.events.size(); ++j) {
+      EXPECT_EQ(st.events[j].seq, pt.events[j].seq);
+      EXPECT_EQ(st.events[j].op_seq, pt.events[j].op_seq);
+      EXPECT_EQ(st.events[j].kind, pt.events[j].kind);
+      EXPECT_EQ(st.events[j].points, pt.events[j].points);
+      EXPECT_EQ(st.events[j].path, pt.events[j].path);
     }
   }
 }
