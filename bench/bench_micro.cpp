@@ -1,8 +1,8 @@
 // Microbenchmarks for the measurement substrates the engine calls on the
 // hot path: Shannon entropy, magic identification, the similarity
 // digest, and the crypto primitives. These are the knobs behind §V-H's
-// per-operation overhead — if one regresses, bench_perf's write/close
-// numbers move with it.
+// per-operation overhead — if one regresses, bench_perf's BM_* engine=1
+// rows and perfbench's per-layer stage means move with it.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"

@@ -30,8 +30,9 @@
 
 namespace cryptodrop {
 
-/// Human-readable name of the compiled kernel path, surfaced by
-/// bench_perf's JSON so perf baselines record what they measured.
+/// Human-readable name of the compiled kernel path, printed by
+/// bench_perf and stored in its --perf-out JSON (`simd_backend`), so a
+/// perf baseline records which kernels it measured.
 constexpr const char* simd_backend_name() {
 #if CRYPTODROP_SIMD_LEVEL == 2
   return "avx2";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
 
 #include "common/buffer_pool.hpp"
@@ -34,24 +33,6 @@ std::string_view indicator_name(Indicator ind) {
   return obs::timeline_event_kind_name(timeline_kind(ind));
 }
 
-const LatencyStats::PerOp& LatencyStats::for_op(vfs::OpType op) const {
-  return const_cast<LatencyStats*>(this)->for_op(op);
-}
-
-LatencyStats::PerOp& LatencyStats::for_op(vfs::OpType op) {
-  switch (op) {
-    case vfs::OpType::open: return open;
-    case vfs::OpType::read: return read;
-    case vfs::OpType::write: return write;
-    case vfs::OpType::truncate: return truncate;
-    case vfs::OpType::close: return close;
-    case vfs::OpType::remove: return remove;
-    case vfs::OpType::rename: return rename;
-    case vfs::OpType::mkdir: return mkdir;
-  }
-  return mkdir;
-}
-
 const ProcessReport* EngineSnapshot::find(vfs::ProcessId pid) const {
   const auto it = std::lower_bound(
       processes.begin(), processes.end(), pid,
@@ -68,39 +49,6 @@ ProcessReport EngineSnapshot::report_for(vfs::ProcessId pid) const {
 }
 
 namespace {
-
-/// Accumulates the elapsed scope time into one LatencyStats bucket,
-/// serialized by the engine's latency mutex at scope exit. The same
-/// timestamps feed the lock-free dispatch histogram (if given) so the
-/// metrics layer adds no clock reads of its own to the dispatch path.
-class ScopedLatency {
- public:
-  ScopedLatency(LatencyStats& stats, LatencyMutex& mu, vfs::OpType op,
-                obs::Histogram* dispatch_hist = nullptr)
-      : stats_(stats), mu_(mu), op_(op), hist_(dispatch_hist),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatency() {
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-    if constexpr (obs::kMetricsEnabled) {
-      if (hist_ != nullptr) hist_->record(static_cast<double>(ns) / 1000.0);
-    }
-    std::lock_guard lock(mu_);
-    LatencyStats::PerOp& bucket = stats_.for_op(op_);
-    ++bucket.count;
-    bucket.total_ns += ns;
-    bucket.max_ns = std::max(bucket.max_ns, ns);
-  }
-
- private:
-  LatencyStats& stats_;
-  LatencyMutex& mu_;
-  vfs::OpType op_;
-  obs::Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Alerts raised while scoreboard locks are held are parked here and
 /// delivered after the locks are released (so a callback may query the
@@ -434,18 +382,9 @@ EngineSnapshot AnalysisEngine::snapshot() const {
 
   std::sort(snap.processes.begin(), snap.processes.end(),
             [](const ProcessReport& a, const ProcessReport& b) { return a.pid < b.pid; });
-  {
-    std::lock_guard lock(latency_mu_);
-    snap.latency = latency_;
-  }
   refresh_gauges(snap.processes.size());
   snap.metrics = metrics_.snapshot();
   return snap;
-}
-
-LatencyStats AnalysisEngine::latency_stats() const {
-  std::lock_guard lock(latency_mu_);
-  return latency_;
 }
 
 void AnalysisEngine::resume_process(vfs::ProcessId pid) {
@@ -762,7 +701,7 @@ vfs::Verdict AnalysisEngine::pre_operation(const vfs::OperationEvent& event) {
       event.op == vfs::OpType::rename && under_root(event.dest_path);
   if (!src_protected && !dst_protected) return vfs::Verdict::allow;
 
-  ScopedLatency timer(latency_, latency_mu_, event.op, h_dispatch_);
+  obs::ScopedTimer timer(h_dispatch_);
   op_seq_.fetch_add(1, std::memory_order_relaxed);
   m_ops_observed_->add();
   switch (event.op) {
@@ -801,7 +740,7 @@ void AnalysisEngine::post_operation(const vfs::OperationEvent& event,
   if (!src_protected && !dst_protected) return;
 
   AlertScope alerts(alert_callback_);
-  ScopedLatency timer(latency_, latency_mu_, event.op, h_dispatch_);
+  obs::ScopedTimer timer(h_dispatch_);
   switch (event.op) {
     case vfs::OpType::read:
       handle_read_post(event);

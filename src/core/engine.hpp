@@ -59,8 +59,6 @@ namespace cryptodrop::core {
 using ScoreboardMutex = common::RankedMutex<common::lockrank::kScoreboardShard>;
 /// File-baseline-shard mutex: rank 20 (acquired under a scoreboard shard).
 using FileTableMutex = common::RankedMutex<common::lockrank::kFileTable>;
-/// Latency-stats mutex: rank 40 (taken with no other engine lock held).
-using LatencyMutex = common::RankedMutex<common::lockrank::kLatencyStats>;
 
 /// Which indicator produced a score event.
 enum class Indicator : std::uint8_t {
@@ -109,34 +107,9 @@ struct ProcessReport {
   obs::ForensicTimeline forensic;
 };
 
-/// Wall-clock cost of the engine's own measurement work, per operation
-/// type — the analogue of §V-H, where the authors traced their driver
-/// and reported the added latency per operation (open/read < 1 ms,
-/// close 1.58 ms, write 9 ms, rename 16 ms on their prototype).
-struct LatencyStats {
-  /// Accumulated callback cost for one operation type.
-  struct PerOp {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t max_ns = 0;
-    /// Mean callback cost in microseconds (0 when no samples).
-    [[nodiscard]] double mean_micros() const {
-      return count == 0 ? 0.0
-                        : static_cast<double>(total_ns) / 1000.0 /
-                              static_cast<double>(count);
-    }
-  };
-  PerOp open, read, write, truncate, close, remove, rename, mkdir;
-
-  /// The accumulator for `op` (every OpType maps to exactly one field).
-  [[nodiscard]] const PerOp& for_op(vfs::OpType op) const;
-  /// Mutable variant of for_op().
-  PerOp& for_op(vfs::OpType op);
-};
-
 /// One consistent view of everything the engine has measured: every
-/// process report, the operation count, and the latency breakdown, all
-/// captured atomically (no operation is half-reflected across entries).
+/// process report and the operation count, captured atomically (no
+/// operation is half-reflected across entries), plus the engine metrics.
 /// This replaced the racy pid-list + N× process_report() query dance
 /// (the old observed_processes() API, now removed).
 struct EngineSnapshot {
@@ -144,7 +117,6 @@ struct EngineSnapshot {
   /// when family scoring is enabled).
   std::vector<ProcessReport> processes;
   std::uint64_t observed_ops = 0;
-  LatencyStats latency;
   /// Every engine metric (counters, gauges, stage-latency histograms),
   /// merged across write shards at capture time — the machine-readable
   /// side of this snapshot (obs::to_json serializes it).
@@ -214,8 +186,8 @@ class AnalysisEngine : public vfs::Filter {
   /// Point-in-time report for one process (empty report with the default
   /// threshold when `pid` was never scored). Thread-safe.
   [[nodiscard]] ProcessReport process_report(vfs::ProcessId pid) const;
-  /// Atomically captures every process report, the observed-op count and
-  /// the latency stats under one (stop-the-world) lock acquisition.
+  /// Atomically captures every process report and the observed-op count
+  /// under one (stop-the-world) lock acquisition, then the metrics.
   [[nodiscard]] EngineSnapshot snapshot() const;
   /// "Why was pid X suspended?" — the bounded forensic event history of
   /// `pid`'s scoreboard entry (score deltas with before/after values,
@@ -232,9 +204,6 @@ class AnalysisEngine : public vfs::Filter {
   [[nodiscard]] std::uint64_t observed_ops() const {
     return op_seq_.load(std::memory_order_relaxed);
   }
-  /// Per-op-type cost of the engine's own callbacks (§V-H analogue).
-  /// Returned by value: the engine's internal stats are lock-guarded.
-  [[nodiscard]] LatencyStats latency_stats() const;
 
   // --- user decisions ------------------------------------------------------
   /// The user chose to let the flagged process continue: clears the
@@ -419,8 +388,6 @@ class AnalysisEngine : public vfs::Filter {
   mutable std::array<FileShard, kFileShards> file_shards_;
   std::function<void(const Alert&)> alert_callback_;
   std::atomic<std::uint64_t> op_seq_{0};
-  LatencyStats latency_;
-  mutable LatencyMutex latency_mu_;
 
   // --- observability (docs/OBSERVABILITY.md) ----------------------------
   // The registry owns the instruments; the pointers below are stable

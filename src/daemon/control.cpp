@@ -190,7 +190,7 @@ Response handle_request(Daemon& daemon, const Json& request,
     const Result<std::size_t> max = field<std::size_t>(request, "max", 256);
     if (!max) return error_response(max.status());
     const EventJournal::Drain drain =
-        daemon.telemetry().journal().since(cursor.value(), tenant, max.value());
+        daemon.journal().since(cursor.value(), tenant, max.value());
     Json rows = Json::array();
     for (const JournalEvent& event : drain.events) rows.push(to_json(event));
     return ok_with(ok_response()
@@ -202,7 +202,7 @@ Response handle_request(Daemon& daemon, const Json& request,
   }
   if (type == "watch") {
     const Result<std::uint64_t> cursor = field<std::uint64_t>(
-        request, "cursor", daemon.telemetry().journal().emitted());
+        request, "cursor", daemon.journal().emitted());
     if (!cursor) return error_response(cursor.status());
     const std::uint64_t start = cursor.value();
     if (watch != nullptr) {

@@ -61,12 +61,11 @@ std::size_t TenantRegistry::size() const {
 // --- Daemon ------------------------------------------------------------
 
 Daemon::Daemon(const vfs::FileSystem& base, DaemonOptions options)
-    : base_(base.clone()), options_(std::move(options)) {
+    : base_(base.clone()),
+      options_(std::move(options)),
+      journal_(options_.journal_capacity),
+      heartbeats_(std::max<std::size_t>(options_.workers, 1)) {
   if (options_.workers == 0) options_.workers = 1;
-  // Telemetry must exist before the first worker thread runs (workers
-  // beat and journal their own lifecycle).
-  telemetry_ = std::make_unique<DaemonTelemetry>(options_.workers,
-                                                 options_.journal_capacity);
   if (options_.trace.enabled) {
     tracer_ = std::make_unique<obs::SpanTracer>(options_.trace);
   }
@@ -317,21 +316,18 @@ void Daemon::resume_workers() {
 
 void Daemon::worker_loop(std::size_t index) {
   BoundedOpQueue& queue = *queues_[index];
-  WorkerTelemetry& telemetry = telemetry_->worker(index);
+  std::atomic<std::uint64_t>& heartbeat = heartbeats_[index];
   const std::size_t batch_max = std::max<std::size_t>(1, options_.drain_batch);
   journal_event(EventKind::worker_start, "", index, 0.0, "");
   std::vector<QueueItem> batch;
   while (queue.pop_batch(batch, batch_max)) {
     metrics_.batches_drained().add();
-    telemetry.beat();
+    heartbeat.fetch_add(1, std::memory_order_relaxed);
     // One depth sample per batch (not per op): what was still queued
     // behind the batch we just took.
-    const double remaining = static_cast<double>(queue.depth());
-    telemetry.queue_depth().record(remaining);
-    metrics_.worker_queue_depth().record(remaining);
+    metrics_.worker_queue_depth().record(static_cast<double>(queue.depth()));
     for (QueueItem& item : batch) {
-      obs::ScopedTimer timer(&telemetry.ingest_latency_us(),
-                             &metrics_.worker_ingest_latency_us());
+      obs::ScopedTimer timer(&metrics_.worker_ingest_latency_us());
       execute_item(item);
     }
     // Count before done(): drain() can return the instant the queue
@@ -342,7 +338,8 @@ void Daemon::worker_loop(std::size_t index) {
     update_overload_state();
   }
   journal_event(EventKind::worker_stop, "", index,
-                static_cast<double>(telemetry.heartbeat()), "");
+                static_cast<double>(heartbeat.load(std::memory_order_relaxed)),
+                "");
 }
 
 void Daemon::execute_item(QueueItem& item) {
@@ -419,7 +416,7 @@ std::vector<std::size_t> Daemon::queue_depths() const {
 void Daemon::journal_event(EventKind kind, std::string tenant,
                            std::uint64_t worker, double value,
                            std::string detail) {
-  const EventJournal::AppendResult appended = telemetry_->journal().append(
+  const EventJournal::AppendResult appended = journal_.append(
       kind, std::move(tenant), worker, value, std::move(detail));
   metrics_.journal_events().add();
   if (appended.overwrote) metrics_.journal_events_dropped().add();
@@ -464,8 +461,8 @@ HealthReport Daemon::health() {
       ingested + shed == 0
           ? 0.0
           : static_cast<double>(shed) / static_cast<double>(ingested + shed);
-  for (std::size_t i = 0; i < telemetry_->workers(); ++i) {
-    report.heartbeats += telemetry_->worker(i).heartbeat();
+  for (const std::atomic<std::uint64_t>& heartbeat : heartbeats_) {
+    report.heartbeats += heartbeat.load(std::memory_order_relaxed);
   }
   report.overloaded = overloaded_.load(std::memory_order_relaxed);
   // Thresholds documented in docs/DAEMON.md "Health verdict".

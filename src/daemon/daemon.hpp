@@ -235,10 +235,9 @@ class Daemon {
   /// worker heartbeats (thresholds in docs/DAEMON.md); refreshes the
   /// overload state and the daemon_health_level gauge.
   [[nodiscard]] HealthReport health();
-  /// The operator telemetry plane (journal + per-worker instruments).
-  [[nodiscard]] DaemonTelemetry& telemetry() { return *telemetry_; }
-  /// Const view of the telemetry plane (query paths).
-  [[nodiscard]] const DaemonTelemetry& telemetry() const { return *telemetry_; }
+  /// The operator event journal (`events` / `watch`). Read-only:
+  /// appends go through journal_event(), which charges the counters.
+  [[nodiscard]] const EventJournal& journal() const { return journal_; }
   /// The daemon's instrument set (tests assert on raw counters).
   [[nodiscard]] DaemonMetrics& daemon_metrics() { return metrics_; }
   /// The scoring config tenants attach with when they send no overrides.
@@ -275,8 +274,13 @@ class Daemon {
   vfs::FileSystem base_;
   DaemonOptions options_;
   mutable DaemonMetrics metrics_;
-  /// Built in the constructor before workers start; never null after.
-  std::unique_ptr<DaemonTelemetry> telemetry_;
+  /// Built before the first worker starts (workers journal their own
+  /// lifecycle).
+  EventJournal journal_;
+  /// Batches drained per worker (index order): the `health` liveness
+  /// signal. Plain atomics, not registry counters, so it still counts
+  /// under CRYPTODROP_NO_METRICS.
+  std::vector<std::atomic<std::uint64_t>> heartbeats_;
   std::atomic<bool> overloaded_{false};
   std::unique_ptr<obs::SpanTracer> tracer_;  ///< Null when tracing is off.
   TenantRegistry registry_;

@@ -63,8 +63,7 @@ class DaemonMetrics {
   obs::Gauge& health_level() { return *health_level_; }
   /// `watch` subscriptions currently streaming.
   obs::Gauge& watch_clients() { return *watch_clients_; }
-  /// Per-op execute latency observed by workers (all workers merged;
-  /// the per-worker split lives in DaemonTelemetry).
+  /// Per-op execute latency observed by workers (all workers merged).
   obs::Histogram& worker_ingest_latency_us() { return *ingest_latency_us_; }
   /// Per-batch queue-depth samples taken by draining workers.
   obs::Histogram& worker_queue_depth() { return *worker_queue_depth_; }

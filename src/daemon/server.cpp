@@ -189,7 +189,7 @@ void SocketServer::serve_loop() {
   constexpr std::string_view kEventMarker = "{\"frame\":\"event\"";
   const auto settle_watcher = [&](Conn& conn) {
     if (!conn.watching) return;
-    const std::uint64_t end = daemon_->telemetry().journal().emitted();
+    const std::uint64_t end = daemon_->journal().emitted();
     std::uint64_t undelivered = end > conn.cursor ? end - conn.cursor : 0;
     for (std::size_t pos = conn.out.find(kEventMarker);
          pos != std::string::npos;
@@ -319,7 +319,7 @@ void SocketServer::serve_loop() {
         Conn& conn = it->second;
         ++it;
         if (!conn.watching) continue;
-        EventJournal::Drain drain = daemon_->telemetry().journal().since(
+        EventJournal::Drain drain = daemon_->journal().since(
             conn.cursor, conn.tenant_filter, /*max=*/128);
         conn.cursor = drain.next_cursor;
         // Ring overwrites the subscriber never saw count as shed too.

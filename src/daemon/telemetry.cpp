@@ -81,19 +81,6 @@ std::uint64_t EventJournal::emitted() const {
   return ring_.recorded();
 }
 
-WorkerTelemetry::WorkerTelemetry()
-    : latency_(obs::MetricsRegistry::latency_buckets_us()),
-      depth_(obs::MetricsRegistry::latency_buckets_us()) {}
-
-DaemonTelemetry::DaemonTelemetry(std::size_t workers,
-                                 std::size_t journal_capacity)
-    : journal_(journal_capacity) {
-  workers_.reserve(std::max<std::size_t>(workers, 1));
-  for (std::size_t i = 0; i < std::max<std::size_t>(workers, 1); ++i) {
-    workers_.push_back(std::make_unique<WorkerTelemetry>());
-  }
-}
-
 std::string_view health_level_name(HealthLevel level) {
   switch (level) {
     case HealthLevel::ok: return "ok";

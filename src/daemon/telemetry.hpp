@@ -1,6 +1,5 @@
-// cryptodropd operator telemetry: the event journal, per-worker
-// ingestion instruments, and the health verdict (docs/DAEMON.md
-// "Operator telemetry").
+// cryptodropd operator telemetry: the event journal and the health
+// verdict (docs/DAEMON.md "Operator telemetry").
 //
 // The journal is a common::BoundedRing of structured events (tenant
 // attach/detach, suspension verdicts, shed transitions, overload
@@ -18,17 +17,13 @@
 //    (with an exact count) instead of blocking a worker. Conservation:
 //    emitted == delivered + dropped for every cursor-following reader.
 //
-// Per-worker instruments (DaemonTelemetry) are plain obs::Histogram /
-// atomic cells — lock-free writes from exactly one worker thread each,
-// snapshot reads from anywhere. They feed the `watch` stream's worker
-// frames and the `health` verdict; the registry-level aggregates
-// (daemon_worker_ingest_latency_us, daemon_worker_queue_depth) live in
-// DaemonMetrics so the scrape schema stays enumerable.
+// Per-op timing and per-batch queue depth live only in the daemon's
+// registry (daemon_worker_ingest_latency_us, daemon_worker_queue_depth
+// in DaemonMetrics), so the scrape schema stays the one place to read
+// them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,7 +31,6 @@
 #include "common/bounded_ring.hpp"
 #include "common/json.hpp"
 #include "common/ranked_mutex.hpp"
-#include "obs/metrics.hpp"
 
 namespace cryptodrop::daemon {
 
@@ -125,69 +119,6 @@ class EventJournal {
   /// Rank 5: held for one push/copy only (see common/ranked_mutex.hpp).
   mutable common::RankedMutex<common::lockrank::kDaemonJournal> mu_;
   common::BoundedRing<JournalEvent> ring_;
-};
-
-/// Per-worker ingestion instruments: an ingest-latency histogram, a
-/// queue-depth histogram and a heartbeat counter (one batch drained =
-/// one beat). Written lock-free by that worker only; read from any
-/// thread via snapshots.
-class WorkerTelemetry {
- public:
-  /// Instruments with the standard latency buckets (1 µs … 65.536 ms
-  /// powers of two) for latency and the same power-of-two edges
-  /// reinterpreted as op counts for depth.
-  WorkerTelemetry();
-
-  /// The worker's per-op execute-latency histogram (µs).
-  [[nodiscard]] obs::Histogram& ingest_latency_us() { return latency_; }
-  /// The worker's per-batch queue-depth histogram (ops).
-  [[nodiscard]] obs::Histogram& queue_depth() { return depth_; }
-  /// Marks one drained batch (liveness signal for `health`).
-  void beat() { heartbeat_.fetch_add(1, std::memory_order_relaxed); }
-  /// Batches drained so far (monotonic; 0 until the worker's first pop).
-  [[nodiscard]] std::uint64_t heartbeat() const {
-    return heartbeat_.load(std::memory_order_relaxed);
-  }
-  /// Snapshot of the latency histogram (name/help left empty).
-  [[nodiscard]] obs::HistogramSnapshot latency_snapshot() const {
-    return latency_.snapshot();
-  }
-  /// Snapshot of the depth histogram (name/help left empty).
-  [[nodiscard]] obs::HistogramSnapshot depth_snapshot() const {
-    return depth_.snapshot();
-  }
-
- private:
-  obs::Histogram latency_;
-  obs::Histogram depth_;
-  std::atomic<std::uint64_t> heartbeat_{0};
-};
-
-/// Journal + per-worker instruments, one per Daemon (constructed after
-/// the worker count is fixed, before workers start).
-class DaemonTelemetry {
- public:
-  /// Telemetry for `workers` workers and a `journal_capacity`-event ring.
-  DaemonTelemetry(std::size_t workers, std::size_t journal_capacity);
-
-  /// The daemon's event journal.
-  [[nodiscard]] EventJournal& journal() { return journal_; }
-  /// Const view of the journal (query paths).
-  [[nodiscard]] const EventJournal& journal() const { return journal_; }
-  /// Worker `index`'s instruments (index < workers()).
-  [[nodiscard]] WorkerTelemetry& worker(std::size_t index) {
-    return *workers_[index];
-  }
-  /// Const view of worker `index`'s instruments.
-  [[nodiscard]] const WorkerTelemetry& worker(std::size_t index) const {
-    return *workers_[index];
-  }
-  /// Number of worker slots.
-  [[nodiscard]] std::size_t workers() const { return workers_.size(); }
-
- private:
-  std::vector<std::unique_ptr<WorkerTelemetry>> workers_;
-  EventJournal journal_;
 };
 
 /// The `health` verdict levels, worst last (the gauge value is the

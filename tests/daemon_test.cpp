@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -650,8 +651,7 @@ TEST_F(DaemonTest, JournalRecordsLifecycleAndSuspensionVerdicts) {
   daemon.drain();
   ASSERT_TRUE(daemon.detach("victim").is_ok());
   daemon.shutdown(/*drain_first=*/true);
-  const EventJournal::Drain drain =
-      daemon.telemetry().journal().since(0, "", 10000);
+  const EventJournal::Drain drain = daemon.journal().since(0, "", 10000);
   std::set<EventKind> kinds;
   for (const JournalEvent& event : drain.events) kinds.insert(event.kind);
   EXPECT_TRUE(kinds.count(EventKind::worker_start));
@@ -673,7 +673,15 @@ TEST_F(DaemonTest, JournalRecordsLifecycleAndSuspensionVerdicts) {
       journaled = counter.value;
     }
   }
-  EXPECT_EQ(journaled, daemon.telemetry().journal().emitted());
+  EXPECT_EQ(journaled, daemon.journal().emitted());
+}
+
+/// The daemon-wide value of one counter (0 when absent).
+std::uint64_t counter_value(const Daemon& daemon, std::string_view name) {
+  for (const obs::CounterSnapshot& counter : daemon.metrics().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
 }
 
 TEST_F(DaemonTest, HealthVerdictTracksOverloadEpisodeAndRecovery) {
@@ -702,8 +710,7 @@ TEST_F(DaemonTest, HealthVerdictTracksOverloadEpisodeAndRecovery) {
   EXPECT_GT(drained.shed_ratio, 0.01);
   EXPECT_GT(drained.heartbeats, 0u);
   // The episode is journaled edge-triggered: one enter, one exit.
-  const EventJournal::Drain events =
-      daemon.telemetry().journal().since(0, "", 10000);
+  const EventJournal::Drain events = daemon.journal().since(0, "", 10000);
   std::size_t enters = 0;
   std::size_t exits = 0;
   for (const JournalEvent& event : events.events) {
@@ -712,15 +719,20 @@ TEST_F(DaemonTest, HealthVerdictTracksOverloadEpisodeAndRecovery) {
   }
   EXPECT_EQ(enters, 1u);
   EXPECT_EQ(exits, 1u);
-  daemon.shutdown(/*drain_first=*/true);
-}
-
-/// The daemon-wide value of one counter (0 when absent).
-std::uint64_t counter_value(const Daemon& daemon, std::string_view name) {
-  for (const obs::CounterSnapshot& counter : daemon.metrics().counters) {
-    if (counter.name == name) return counter.value;
+  // One heartbeat per drained batch: the liveness sum, the registry's
+  // batch counter and the worker_stop journal values are one number.
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(drained.heartbeats,
+              counter_value(daemon, "daemon_batches_drained_total"));
   }
-  return 0;
+  daemon.shutdown(/*drain_first=*/true);
+  std::uint64_t stopped_beats = 0;
+  for (const JournalEvent& event : daemon.journal().since(0, "", 10000).events) {
+    if (event.kind == EventKind::worker_stop) {
+      stopped_beats += static_cast<std::uint64_t>(event.value);
+    }
+  }
+  EXPECT_EQ(stopped_beats, drained.heartbeats);
 }
 
 TEST_F(DaemonTest, ControlHostileJsonNestingIsOneErrorLine) {
@@ -817,6 +829,22 @@ TEST_F(DaemonTest, ControlOutOfRangeNumbersAreOneInvalidArgumentLine) {
             0u);
   EXPECT_EQ(dispatcher.handle_line(R"({"type":"spawn","tenant":"t","pid":5})"),
             "{\"ok\":true}");
+  // `name` is optional: the process spawned without one is reported as
+  // "process" once it scores (here, by deleting a protected file).
+  const auto victim = std::find_if(
+      env->corpus.manifest.begin(), env->corpus.manifest.end(),
+      [](const corpus::ManifestEntry& entry) { return !entry.read_only; });
+  ASSERT_NE(victim, env->corpus.manifest.end());
+  vfs::TraceEntry removal;
+  removal.op = vfs::OpType::remove;
+  removal.pid = 5;
+  removal.path = victim->path;
+  ASSERT_TRUE(daemon.submit("t", {removal}).is_ok());
+  daemon.drain();
+  const Result<core::EngineSnapshot> verdicts = daemon.verdicts("t");
+  ASSERT_TRUE(verdicts.is_ok());
+  ASSERT_EQ(verdicts.value().processes.size(), 1u);
+  EXPECT_EQ(verdicts.value().processes[0].name, "process");
   daemon.shutdown(/*drain_first=*/true);
 }
 
@@ -835,7 +863,7 @@ TEST_F(DaemonTest, ControlEventsRequestPagesWithCursorsAndFilters) {
   ControlDispatcher dispatcher(daemon);
   // The lone worker journals worker_start from its own thread; wait for
   // it so every count below is deterministic.
-  while (daemon.telemetry().journal().emitted() < 1) {
+  while (daemon.journal().emitted() < 1) {
     std::this_thread::yield();
   }
   dispatcher.handle_line("{\"type\":\"attach\",\"tenant\":\"a\"}");
@@ -856,8 +884,7 @@ TEST_F(DaemonTest, ControlEventsRequestPagesWithCursorsAndFilters) {
   }
   EXPECT_EQ(parsed.value().number_or("dropped", -1.0), 0.0);
   const double next_cursor = parsed.value().number_or("next_cursor", -1.0);
-  EXPECT_EQ(next_cursor, static_cast<double>(
-                             daemon.telemetry().journal().emitted()));
+  EXPECT_EQ(next_cursor, static_cast<double>(daemon.journal().emitted()));
   // A follow-up from next_cursor is empty; a tenant filter sees only
   // that tenant's events.
   const std::string tail = dispatcher.handle_line(
@@ -884,7 +911,7 @@ TEST_F(DaemonTest, ControlHealthAndWatchAcknowledgements) {
   ControlDispatcher dispatcher(daemon);
   // Wait for both workers' asynchronous worker_start appends so the
   // cursor arithmetic below is race-free.
-  while (daemon.telemetry().journal().emitted() < 2) {
+  while (daemon.journal().emitted() < 2) {
     std::this_thread::yield();
   }
   const std::string health = dispatcher.handle_line("{\"type\":\"health\"}");
@@ -909,7 +936,7 @@ TEST_F(DaemonTest, ControlHealthAndWatchAcknowledgements) {
   EXPECT_NE(streamed.find("\"streaming\":true"), std::string::npos);
   EXPECT_TRUE(sub.requested);
   EXPECT_EQ(sub.tenant, "w");
-  EXPECT_EQ(sub.cursor, daemon.telemetry().journal().emitted());
+  EXPECT_EQ(sub.cursor, daemon.journal().emitted());
   // An explicit cursor wins over the default.
   WatchSubscription rewound;
   dispatcher.handle_line("{\"type\":\"watch\",\"cursor\":0}", &rewound);
@@ -1173,7 +1200,7 @@ TEST_F(DaemonTest, WatchConservationEmittedEqualsDeliveredPlusShed) {
     }
   }
   EXPECT_GT(delivered, 0u);
-  EXPECT_EQ(delivered + shed, daemon.telemetry().journal().emitted())
+  EXPECT_EQ(delivered + shed, daemon.journal().emitted())
       << "delivered=" << delivered << " shed=" << shed;
 }
 

@@ -304,12 +304,45 @@ TEST_F(ObsEngineTest, EngineCountersMatchReportAndOps) {
   const obs::HistogramSnapshot* magic = metrics.histogram("stage_latency_us.magic_sniff");
   ASSERT_NE(magic, nullptr);
   EXPECT_GT(magic->count, 0u);
+  // Every observed op times its pre callback; successful ops add a
+  // post sample, so dispatch samples are at least the observed ops.
   const obs::HistogramSnapshot* dispatch =
       metrics.histogram("stage_latency_us.filter_dispatch");
   ASSERT_NE(dispatch, nullptr);
-  EXPECT_GT(dispatch->count, 0u);
+  EXPECT_GE(dispatch->count, snap.observed_ops);
+  EXPECT_GT(snap.observed_ops, 0u);
   EXPECT_EQ(metrics.counter("similarity_digests_total")->value,
             metrics.histogram("stage_latency_us.sdhash_digest")->count);
+
+  // Ops outside the protected root are never timed or counted.
+  const vfs::ProcessId bystander = fs.register_process("bystander");
+  ASSERT_TRUE(fs.write_file(bystander, "elsewhere/x.bin", to_bytes("data")).is_ok());
+  ASSERT_TRUE(fs.read_file(bystander, "elsewhere/x.bin").is_ok());
+  const obs::MetricsSnapshot after = engine->metrics_snapshot();
+  EXPECT_EQ(after.histogram("stage_latency_us.filter_dispatch")->count,
+            dispatch->count);
+  EXPECT_EQ(after.counter("ops_observed_total")->value, snap.observed_ops);
+}
+
+TEST_F(ObsEngineTest, ModifyCloseRoundsDigestEachContentOnce) {
+  // Digest retention on the close path: the first measured close
+  // digests the baseline and the new content; every later close reuses
+  // the digest kept from the close before and digests only its own new
+  // content. Re-digesting the baseline would make this 2K.
+  SKIP_WITHOUT_METRICS();
+  constexpr std::uint64_t kRounds = 6;
+  config.score_threshold = 1 << 30;  // measure, never suspend
+  config.share_digest_cache = false;
+  attach();
+  const std::string path = doc("essay.txt");
+  put_prose(path, 4096);
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(fs.write_file(pid, path, to_bytes(synth_prose(rng, 4096))).is_ok());
+  }
+  const obs::MetricsSnapshot metrics = engine->metrics_snapshot();
+  EXPECT_EQ(metrics.histogram("stage_latency_us.close_measure")->count, kRounds);
+  EXPECT_EQ(metrics.counter("similarity_digests_total")->value, kRounds + 1);
+  EXPECT_EQ(metrics.counter("degraded_measurements_total")->value, 0u);
 }
 
 TEST_F(ObsEngineTest, DeniedOpsAreCounted) {
